@@ -1,6 +1,6 @@
 """Bench: columnar traces — encode cost, replay throughput, e2e speedup.
 
-Three guards around :mod:`repro.workloads.encode` and the opcode-dispatch
+Four guards around :mod:`repro.workloads.encode` and the opcode-dispatch
 replay loop in :meth:`repro.cpu.model.InOrderCPU.run_encoded`:
 
 - building an :class:`~repro.workloads.encode.EncodedTrace` straight from
@@ -14,23 +14,10 @@ replay loop in :meth:`repro.cpu.model.InOrderCPU.run_encoded`:
   per system, all twelve kernels against all six configurations, null
   probe) must beat the pre-PR object path by the same enforced margin;
   the measured ratio is printed against the 3x design target;
-- the batched multi-lane pass (:func:`repro.cpu.batched.run_batch`,
-  one trace walk driving all six configurations) must be bit-exact
-  with the serial encoded pass and at least
-  :data:`MIN_BATCHED_SPEEDUP` times its throughput on the same grid.
-  The measured ratio (~1.1-1.3x here — trace-side dispatch is a small
-  share of a replay; ``docs/INTERNALS.md`` §3 has the composition) is
-  recorded in the bench trajectory; the floor only guards against the
-  batched path ever becoming a pessimization;
-- hit-run elimination (:mod:`repro.workloads.elim`) on the batched
-  penalties grid must be bit-exact with the per-event pass and never a
-  pessimization (:data:`MIN_ELIM_SPEEDUP`); the whole-grid and
-  high-locality ratios are recorded as ``elim_speedup`` and
-  ``elim_speedup_high_locality``.  On the *serial* replay path (one
-  lane per pass — the engine's per-point and pooled-worker shape,
-  where cursor jumps skip whole runs instead of guarding a shared
-  walk), elimination of the eligible configurations on the
-  high-locality kernels must reach :data:`MIN_ELIM_SERIAL_SPEEDUP`,
+- hit-run elimination (:mod:`repro.workloads.elim`), which jumps the
+  replay cursors over whole guaranteed-hit runs, must be bit-exact
+  with the per-event pass and, for the eligible configurations on the
+  high-locality kernels, reach :data:`MIN_ELIM_SERIAL_SPEEDUP`,
   recorded as ``elim_speedup_serial``.
 
 Timings are best-of-N wall clock after a warm-up pass, matching
@@ -41,7 +28,6 @@ from __future__ import annotations
 
 import time
 
-from repro.cpu.batched import run_batch
 from repro.cpu.system import warm_regions_of
 from repro.experiments.penalties import NVM_CONFIGS
 from repro.experiments.runner import make_system
@@ -60,14 +46,6 @@ MIN_REPLAY_SPEEDUP = 2.0
 #: Headline end-to-end goal of the columnar-trace work (reported, not asserted).
 E2E_TARGET = 3.0
 MAX_ENCODE_OVERHEAD = 1.5
-#: Floor for batched vs serial-encoded throughput on the full grid.
-#: Set below the measured ~1.1-1.3x so noisy CI boxes never flake; it
-#: exists to catch the batched path regressing into a pessimization.
-MIN_BATCHED_SPEEDUP = 0.95
-#: Floor for hit-run elimination on the batched penalties grid: never a
-#: pessimization.  The design goal is >=1.5x on the high-locality
-#: kernels (reported separately as ``elim_speedup_high_locality``).
-MIN_ELIM_SPEEDUP = 1.0
 #: Kernels whose working sets live in the arrays' LRU stacks almost
 #: entirely — where elimination covers >95% of the trace.
 HIGH_LOCALITY = ("gemm", "doitgen")
@@ -200,124 +178,12 @@ def test_penalties_end_to_end_speedup(bench_metrics):
     )
 
 
-def _batched_pass(material):
-    """One batched penalties pass: per kernel, one 6-lane run_batch."""
-    start = time.perf_counter()
-    cycles = []
-    for trace, regions in material:
-        systems = [make_system(config) for config in ALL_CONFIGS]
-        for result in run_batch(trace, systems, warm_regions=regions):
-            cycles.append(result.cycles)
-    return time.perf_counter() - start, cycles
-
-
-def test_batched_penalties_speedup(bench_metrics):
-    programs = _programs(kernel_names())
-    material = [
-        (encode_trace(program), warm_regions_of(program))
-        for program in programs.values()
-    ]
-    _batched_pass(material)  # warm-up: compiles the 6-lane stepper
-
-    serial_times, batched_times = [], []
-    serial_cycles = batched_cycles = None
-    for _ in range(E2E_REPEATS):
-        start = time.perf_counter()
-        serial_cycles = []
-        for trace, regions in material:
-            for config in ALL_CONFIGS:
-                system = make_system(config)
-                result = system.run(trace, warm_regions=regions)
-                serial_cycles.append(result.cycles)
-        serial_times.append(time.perf_counter() - start)
-        elapsed, batched_cycles = _batched_pass(material)
-        batched_times.append(elapsed)
-
-    # The batched path is only admissible because it is bit-exact.
-    assert batched_cycles == serial_cycles
-
-    ratio = min(serial_times) / min(batched_times)
-    bench_metrics.setdefault("trace", {})["batched_speedup"] = metric(ratio, unit="x")
-    print(
-        f"\nbatched penalties: best serial-encoded {min(serial_times):.3f}s, "
-        f"best batched {min(batched_times):.3f}s, speedup x{ratio:.2f} "
-        f"(floor x{MIN_BATCHED_SPEEDUP})"
-    )
-    assert ratio >= MIN_BATCHED_SPEEDUP, (
-        f"batched replay is only x{ratio:.2f} the serial encoded pass "
-        f"(floor x{MIN_BATCHED_SPEEDUP})"
-    )
-
-
-def _timed_elim(material, on, repeats):
-    """Best-of-N batched pass with elimination forced on or off."""
-    from repro.workloads.elim import forced
-
-    times, cycles = [], None
-    for _ in range(repeats):
-        with forced(on):
-            elapsed, cycles = _batched_pass(material)
-        times.append(elapsed)
-    return min(times), cycles
-
-
-def test_elim_penalties_speedup(bench_metrics):
-    """Hit-run elimination on the batched penalties grid: exact + faster.
-
-    Times the full 12-kernel x 6-config batched pass with elimination
-    forced on against forced off (the PR-8 baseline path), asserts the
-    cycle outputs are bit-identical, and records both the whole-grid
-    ratio and the high-locality-kernel ratio (the >=1.5x design goal of
-    the elimination work) in the bench trajectory.
-    """
-    programs = _programs(kernel_names())
-    material = {
-        name: (encode_trace(program), warm_regions_of(program))
-        for name, program in programs.items()
-    }
-    full = list(material.values())
-    # Warm-up: compiles both stepper variants and profiles every trace
-    # (annotations are memoized on the traces, as in a real sweep).
-    _timed_elim(full, True, 1)
-    _timed_elim(full, False, 1)
-
-    on_time, on_cycles = _timed_elim(full, True, E2E_REPEATS)
-    off_time, off_cycles = _timed_elim(full, False, E2E_REPEATS)
-
-    # Elimination is only admissible because it is bit-exact.
-    assert on_cycles == off_cycles
-
-    ratio = off_time / on_time
-    bench_metrics.setdefault("trace", {})["elim_speedup"] = metric(ratio, unit="x")
-
-    high = [material[name] for name in HIGH_LOCALITY]
-    high_on, _ = _timed_elim(high, True, E2E_REPEATS)
-    high_off, _ = _timed_elim(high, False, E2E_REPEATS)
-    high_ratio = high_off / high_on
-    bench_metrics.setdefault("trace", {})["elim_speedup_high_locality"] = metric(
-        high_ratio, unit="x"
-    )
-    print(
-        f"\nelimination penalties: best off {off_time:.3f}s, best on "
-        f"{on_time:.3f}s, speedup x{ratio:.2f} (floor x{MIN_ELIM_SPEEDUP}); "
-        f"high-locality ({', '.join(HIGH_LOCALITY)}) x{high_ratio:.2f}"
-    )
-    assert ratio >= MIN_ELIM_SPEEDUP, (
-        f"eliminated replay is only x{ratio:.2f} the per-event batched "
-        f"pass (floor x{MIN_ELIM_SPEEDUP})"
-    )
-
-
 def test_elim_serial_speedup(bench_metrics):
     """Serial-lane elimination hits the >=1.5x goal where it applies.
 
-    The batched grid dilutes elimination behind the non-eliminating
-    VWB/L0/EMSHR lanes and the shared trace walk; the serial encoded
-    path (the engine's per-point and pooled-worker shape) instead jumps
-    its cursors over whole runs.  Times the eligible configurations
-    (:data:`ELIM_CONFIGS`) on the high-locality kernels, forced on vs
-    forced off, asserts bit-identical cycles and the
-    :data:`MIN_ELIM_SERIAL_SPEEDUP` floor.
+    Times the eligible configurations (:data:`ELIM_CONFIGS`) on the
+    high-locality kernels, forced on vs forced off, asserts
+    bit-identical cycles and the :data:`MIN_ELIM_SERIAL_SPEEDUP` floor.
     """
     from repro.workloads.elim import forced
 

@@ -6,15 +6,12 @@ The simulator maintains several redundant ways of executing the same
 - **generic replay** — ``InOrderCPU.run`` over decoded event objects;
 - **encoded replay** — ``run_encoded`` over the columnar opcode stream,
   with the front-end's inlined fast-path hit kernels;
-- **batched replay** — :func:`repro.cpu.batched.run_batch` driving the
-  point as one lane of a generated multi-lane stepper, whose per-lane
-  state mutations and result must match a solo run exactly;
 - **probed replay** — generic replay under a
   :class:`~repro.obs.probe.RecordingProbe`, whose cycle ledger must
   balance to the run's cycle count exactly;
 - **eliminated replay** — encoded replay with hit-run elimination
   (:mod:`repro.workloads.elim`) forced on, so annotated guaranteed-hit
-  runs are consumed in closed form instead of per event;
+  runs are consumed in one apply step each instead of per event;
 - **warm re-runs** — ``reset=False`` replays over retained contents,
   which must agree across replay paths just like cold runs.
 
@@ -97,7 +94,7 @@ class AuditReport:
         if self.ok:
             return (
                 f"PASS  {head}: {self.events} events, "
-                f"{self.checks} invariant sweeps, 6 replay legs agree"
+                f"{self.checks} invariant sweeps, 5 replay legs agree"
             )
         lines = [f"FAIL  {head}:"]
         if self.violation is not None:
@@ -155,12 +152,11 @@ def audit_point(
 ) -> AuditReport:
     """Differentially audit one (kernel, config, level) point.
 
-    Runs the six replay legs (sanitized generic, encoded fast path,
-    batched multi-lane, forced hit-run elimination, probed with ledger
-    verification, warm re-runs of the first two), diffs results,
-    histograms and shadow end states,
-    and — when the generic and encoded paths disagree — bisects to the
-    first diverging event.
+    Runs the five replay legs (sanitized generic, encoded fast path,
+    forced hit-run elimination, probed with ledger verification, warm
+    re-runs of the first two), diffs results, histograms and shadow end
+    states, and — when the generic and encoded paths disagree — bisects
+    to the first diverging event.
 
     Args:
         kernel: Kernel name from the PolyBench registry.
@@ -207,32 +203,21 @@ def audit_point(
     _diff_into(report, "encoded.state", shadow_a, shadow_b)
     encoded_diverged = bool(report.divergences)
 
-    # Leg E: batched replay — the point runs as one lane of a two-lane
-    # generated stepper (both lanes this configuration), so the batched
-    # engine's inlined hit tiers, divergence fallbacks and deferred stat
-    # flushes are all exercised and diffed against the sanitized run.
-    from ..cpu.batched import run_batch
-
-    system_e = System(sys_config)
-    result_e = run_batch(trace, [system_e, System(sys_config)], warm_regions=regions)[0]
-    _diff_into(report, "batched.result", _result_state(result_a), _result_state(result_e))
-    _diff_into(report, "batched.state", shadow_a, capture_system(system_e))
-
-    # Leg F: eliminated replay — the encoded fast path with hit-run
-    # elimination *forced on* (independent of ``REPRO_ELIM``), so
-    # guaranteed-hit runs are consumed through the closed-form /
-    # packed-word appliers of :func:`repro.cpu.fastpath.make_run_applier`
-    # instead of per-event simulation.  Result and full shadow end state
+    # Leg E: eliminated replay — the encoded fast path with hit-run
+    # elimination *forced on* (no deferral to a later pass), so
+    # guaranteed-hit runs are consumed through the packed-word applier
+    # of :func:`repro.cpu.fastpath.make_run_applier` instead of
+    # per-event simulation.  Result and full shadow end state
     # (tags, dirty bits, LRU orders, bank clocks) are diffed against the
     # sanitized generic leg.  Lanes whose shape is ineligible simply
     # replay per-event here, which keeps the leg a valid no-op check.
     from ..workloads.elim import forced as _elim_forced
 
-    system_f = System(sys_config)
+    system_e = System(sys_config)
     with _elim_forced(True):
-        result_f = system_f.run(trace, warm_regions=regions)
-    _diff_into(report, "elim.result", _result_state(result_a), _result_state(result_f))
-    _diff_into(report, "elim.state", shadow_a, capture_system(system_f))
+        result_e = system_e.run(trace, warm_regions=regions)
+    _diff_into(report, "elim.result", _result_state(result_a), _result_state(result_e))
+    _diff_into(report, "elim.state", shadow_a, capture_system(system_e))
 
     # Leg C: probed generic replay; the RecordingProbe's finish hook
     # verifies the cycle ledger balances to the run's cycles exactly.

@@ -557,49 +557,16 @@ def make_fast_ops(frontend: DCacheFrontend) -> Optional[Tuple[FastOp, FastOp]]:
 # Run elimination: consuming a guaranteed-hit run in one apply call.
 #
 # `make_run_applier` builds the per-lane consumer for the hit-run
-# annotations of `repro.workloads.elim`.  Two tiers, chosen per run:
-#
-# - **closed form** — when the lane's hit latencies are both exactly one
-#   cycle and its cost parameters are "dyadic" (exact multiples of
-#   1/4096, the resolution of every timing parameter in the repo), the
-#   whole run reduces to a per-segment clock recurrence: every in-run
-#   load exposes exactly 1.0 cycles (wait 0, clamp at 1), so
-#   ``cycles += n_loads·1 + ops + taken·tc + exit·ec`` segment-wise with
-#   an exact mini-simulation only at each store (the store-buffer drain
-#   is a genuine sequential recurrence).  Bank-busy times are
-#   reconstructed at run exit from the last access per bank.  Entry
-#   gates guarantee bit-exactness: all accumulators and queued store
-#   completions must be dyadic and small enough that every partial sum
-#   is exactly representable (regrouped addition then cannot round),
-#   and each bank's busy time must not reach into the run (a per-bank
-#   prefix-weight check, so no in-run access ever waits).
-# - **lite** — an exact per-event replay over the run's packed opcode
-#   words that evaluates the identical timing arithmetic in the
-#   identical order (so it is bit-exact for *any* latencies and floats)
-#   but skips tag probes, per-event LRU maintenance and per-event stat
-#   traffic.  This is the universal in-lane fallback: any run failing a
-#   closed-form gate takes it, so an eligible lane never falls back to
-#   the per-event path mid-trace.
-#
-# Both tiers finish identically: bulk hit counters, and a batch
-# LRU-recency replay that rebuilds each touched set's recency order from
-# the annotation's MRU tag list (valid because nothing reads the order
-# mid-run — there are no victim selections inside an all-hit span).
+# annotations of `repro.workloads.elim`.  The applier replays the run's
+# packed opcode words with the identical timing arithmetic in the
+# identical order as the per-event path (so it is bit-exact for *any*
+# latencies and floats), but skips tag probes, per-event LRU
+# maintenance and per-event stat traffic.  It finishes with bulk hit
+# counters and a batch LRU-recency replay that rebuilds each touched
+# set's recency order from the annotation's MRU tag list (valid because
+# nothing reads the order mid-run — there are no victim selections
+# inside an all-hit span).
 # --------------------------------------------------------------------------
-
-#: Dyadic grid: every timing parameter in the repo is a multiple of
-#: 1/4096 cycles, so sums of gated values never round (see above).
-_SCALE = 4096.0
-#: Magnitude gate for accumulators/queue entries: multiples of 1/4096
-#: below 2**39 are exactly representable with 2**2 headroom for sums.
-_LIMIT = float(1 << 39)
-#: Scaled-advance bound (= ``_LIMIT`` on the 1/4096 grid).
-_LIMIT_SCALED = 1 << 51
-
-
-def _exact_cost(value: float) -> bool:
-    """True for a cost on the dyadic grid with weight >= 1."""
-    return 1.0 <= value < 1048576.0 and (value * _SCALE).is_integer()
 
 
 class RunApplier:
@@ -690,149 +657,64 @@ def make_run_applier(frontend: DCacheFrontend, cpu_cfg) -> Optional[RunApplier]:
     ec = cpu_cfg.branch_cycles + cpu_cfg.branch_mispredict_cycles
     cap = 256  # LOAD_HISTOGRAM_CAP (model.py; no import to avoid a cycle)
 
-    closed_ok = (
-        rcf == 1.0
-        and wcf == 1.0
-        and _exact_cost(store_issue)
-        and _exact_cost(tc)
-        and _exact_cost(ec)
-    )
-    if closed_ok:
-        si_scaled = int(store_issue * _SCALE)
-        tc_scaled = int(tc * _SCALE)
-        ec_scaled = int(ec * _SCALE)
-    else:
-        si_scaled = tc_scaled = ec_scaled = 0
-
     pk_compute, pk_store, pk_branch = PK_COMPUTE, PK_STORE, PK_BRANCH
 
     def apply(run, c, bc, bb, bl, bs, sq, hist):
         """Consume one hit run; see :class:`RunApplier`."""
-        n_loads, n_stores, _n_computes, ops_total, n_taken, n_exit = run.counts
-
-        use_closed = closed_ok
-        if use_closed:
-            # Entry gates (see the tier comment above): accumulators and
-            # queued completions on the dyadic grid and small, the total
-            # advance bounded, and no bank busy reaching into the run.
-            if not (
-                c < _LIMIT
-                and (c * _SCALE).is_integer()
-                and bc < _LIMIT
-                and (bc * _SCALE).is_integer()
-                and bb < _LIMIT
-                and (bb * _SCALE).is_integer()
-                and bl < _LIMIT
-                and (bl * _SCALE).is_integer()
-            ):
-                use_closed = False
-            elif (
-                int(c * _SCALE)
-                + ((n_loads + ops_total) << 12)
-                + n_stores * si_scaled
-                + n_taken * tc_scaled
-                + n_exit * ec_scaled
-            ) >= _LIMIT_SCALED:
-                use_closed = False
-            else:
-                for t in sq:
-                    if not (t < _LIMIT and (t * _SCALE).is_integer()):
-                        use_closed = False
-                        break
-                if use_closed:
-                    for g in run.gate:
-                        if busy[g[0]] > c + (g[1] + g[2] + g[3] + g[4]):
-                            use_closed = False
-                            break
-
-        if use_closed:
-            # -- closed form: segment recurrence + per-store mini-sim --
-            seg_starts = []
-            ss_append = seg_starts.append
-            st_times = []
-            st_append = st_times.append
-            j = 0
-            for nl, opsum, ntk, nex in run.segs:
-                ss_append(c)
-                c = c + (nl * 1.0 + opsum + ntk * tc + nex * ec)
-                if j < n_stores:
-                    start = c
-                    while sq and sq[0] <= c:
-                        sq.popleft()
-                    if len(sq) >= sb_entries:
-                        c = sq.popleft()
-                    st_append(c)
-                    tail = sq[-1] if sq else c
-                    sq.append((tail if tail > c else c) + 1.0)
-                    c += store_issue
-                    bs += c - start
-                    j += 1
-            bl += n_loads * 1.0
-            bc += ops_total
-            bb += n_taken * tc + n_exit * ec
-            hist[1] += n_loads  # every in-run load exposes exactly 1.0
-            for lb in run.last_banks:
-                if lb[1]:
-                    t = seg_starts[lb[2]] + (
-                        lb[3] * 1.0 + lb[4] + lb[5] * tc + lb[6] * ec
-                    )
+        n_loads, n_stores = run.counts[:2]
+        # -- exact per-event timing over the packed words --
+        bwc = 0
+        for word in run.packed:
+            k = word & 7
+            if k == 0:  # load
+                bu = busy[word >> 3]
+                if bu > c:
+                    w = bu - c
+                    busy[word >> 3] = bu + rcf
+                    bwc += int(w)
+                    lat = w + rcf
                 else:
-                    t = st_times[lb[2]]
-                busy[lb[0]] = t + 1.0
-        else:
-            # -- lite: exact per-event timing over the packed words --
-            bwc = 0
-            for word in run.packed:
-                k = word & 7
-                if k == 0:  # load
-                    bu = busy[word >> 3]
-                    if bu > c:
-                        w = bu - c
-                        busy[word >> 3] = bu + rcf
-                        bwc += int(w)
-                        lat = w + rcf
-                    else:
-                        busy[word >> 3] = c + rcf
-                        lat = rcf
-                    ex = lat - overlap
-                    if ex < 1.0:
-                        ex = 1.0
-                    c += ex
-                    bl += ex
-                    b = int(ex)
-                    hist[b if b < cap else cap] += 1
-                elif k == pk_compute:
-                    o = word >> 3
-                    c += o
-                    bc += o
-                elif k == pk_store:
-                    start = c
-                    while sq and sq[0] <= c:
-                        sq.popleft()
-                    if len(sq) >= sb_entries:
-                        c = sq.popleft()
-                    bank = word >> 3
-                    bu = busy[bank]
-                    if bu > c:
-                        w = bu - c
-                        busy[bank] = bu + wcf
-                        bwc += int(w)
-                        lat = w + wcf
-                    else:
-                        busy[bank] = c + wcf
-                        lat = wcf
-                    tail = sq[-1] if sq else c
-                    sq.append((tail if tail > c else c) + lat)
-                    c += store_issue
-                    bs += c - start
-                else:  # branch
-                    cost = tc if word >> 3 else ec
-                    c += cost
-                    bb += cost
-            if bwc:
-                cstats.bank_wait_cycles += bwc
+                    busy[word >> 3] = c + rcf
+                    lat = rcf
+                ex = lat - overlap
+                if ex < 1.0:
+                    ex = 1.0
+                c += ex
+                bl += ex
+                b = int(ex)
+                hist[b if b < cap else cap] += 1
+            elif k == pk_compute:
+                o = word >> 3
+                c += o
+                bc += o
+            elif k == pk_store:
+                start = c
+                while sq and sq[0] <= c:
+                    sq.popleft()
+                if len(sq) >= sb_entries:
+                    c = sq.popleft()
+                bank = word >> 3
+                bu = busy[bank]
+                if bu > c:
+                    w = bu - c
+                    busy[bank] = bu + wcf
+                    bwc += int(w)
+                    lat = w + wcf
+                else:
+                    busy[bank] = c + wcf
+                    lat = wcf
+                tail = sq[-1] if sq else c
+                sq.append((tail if tail > c else c) + lat)
+                c += store_issue
+                bs += c - start
+            else:  # branch
+                cost = tc if word >> 3 else ec
+                c += cost
+                bb += cost
+        if bwc:
+            cstats.bank_wait_cycles += bwc
 
-        # -- shared epilogue: bulk counters and batch LRU replay --
+        # -- bulk counters and batch LRU replay --
         cstats.read_hits += n_loads
         cstats.write_hits += n_stores
         if count_hits:

@@ -570,7 +570,7 @@ class InOrderCPU:
         same accumulator order — while each annotated run is consumed by
         one ``applier.apply`` call that advances the clock, ledger,
         store queue, bank busy times, LRU orders and stat counters to
-        bit-identical values (tiers and gates in
+        bit-identical values (see
         :func:`~repro.cpu.fastpath.make_run_applier`).  Runs never start
         on marks and never exist in prefetch-bearing traces, so the gap
         loop needs no mark or prefetch special cases beyond

@@ -59,7 +59,7 @@ import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from ..cpu.model import RunResult
 from ..errors import ConfigurationError, SweepFailure
@@ -67,7 +67,7 @@ from ..obs.probe import NULL_PROBE, Probe
 from ..telemetry.events import NULL_TELEMETRY, Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from .cache import RunCache, cache_key_of, canonicalize, key_material_of
-from .point import RunPoint, execute_point, execute_point_batch
+from .point import RunPoint, execute_point
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
@@ -746,21 +746,9 @@ class ExecutionEngine:
         Wall-clock budgets need a killable worker process, so the serial
         path enforces only the error-retry part of the policy — hung
         points cannot be interrupted here.
-
-        Same-trace groups (points sharing kernel/size/level — the shape
-        of a figure batch) first run through the batched multi-lane
-        stepper (:func:`~repro.exec.point.execute_point_batch`); cache
-        writes, journal checkpoints, telemetry spans and progress
-        reporting stay per-point, and a group that raises falls back to
-        the per-point loop below with every member's retry budget
-        untouched.  Disabled under a fault plan: the chaos suite
-        reasons about strictly per-point attempts.
         """
         tele = self.telemetry
-        done = self._execute_serial_batched(tasks, pending, results, total, batch_span)
         for task in tasks:
-            if task.key in done:
-                continue
             entry = pending[task.key]
             span_id = 0
             if tele.enabled:
@@ -798,91 +786,6 @@ class ExecutionEngine:
                 break
             if self.policy.fail_fast and self.failures:
                 break
-
-    def _execute_serial_batched(
-        self,
-        tasks: List[Task],
-        pending: Dict[str, _Pending],
-        results: List[Optional[RunResult]],
-        total: int,
-        batch_span: int,
-    ) -> set:
-        """Run same-trace task groups through the batched stepper.
-
-        Groups tasks by ``(kernel, size, level)`` and executes each
-        group of two or more through
-        :func:`~repro.exec.point.execute_point_batch`, completing every
-        member with its own cache write, journal checkpoint, telemetry
-        span and progress line.  A group that raises is abandoned
-        wholesale — its members return to the caller's per-point loop
-        with their attempt counters untouched.
-
-        Parameters
-        ----------
-        tasks : list of Task
-            The batch's unique cache-missing tasks.
-        pending : dict
-            Key -> :class:`_Pending` map for the batch.
-        results : list
-            Input-ordered result slots being filled.
-        total : int
-            Batch size, for progress reporting.
-        batch_span : int
-            Parent telemetry span id.
-
-        Returns
-        -------
-        set
-            Keys completed here; the caller skips them.
-        """
-        done: set = set()
-        if self.fault_plan is not None:
-            return done
-        groups: Dict[Tuple, List[Task]] = {}
-        for task in tasks:
-            point = pending[task.key].point
-            groups.setdefault((point.kernel, point.size, point.level), []).append(task)
-        tele = self.telemetry
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            spans: Dict[str, int] = {}
-            if tele.enabled:
-                for task in group:
-                    spans[task.key] = tele.begin_span(
-                        "point",
-                        parent=batch_span,
-                        label=pending[task.key].point.display(),
-                        key=task.key,
-                    )
-            t0 = time.monotonic()
-            try:
-                outs = execute_point_batch([pending[t.key].point for t in group])
-            except Exception:
-                # Never terminal: the per-point loop recomputes each
-                # member from scratch under the full retry policy.
-                if tele.enabled:
-                    for task in group:
-                        tele.end_span(spans.get(task.key, 0), status="degraded")
-                continue
-            wall = time.monotonic() - t0
-            share = wall / len(group)
-            self.metrics.count("exec.batched_groups")
-            for task, result in zip(group, outs):
-                task.attempts += 1
-                self._complete(
-                    task.key,
-                    pending[task.key],
-                    result,
-                    results,
-                    total,
-                    wall,
-                    os.getpid(),
-                    share,
-                    spans.get(task.key, 0),
-                )
-                done.add(task.key)
-        return done
 
     def _complete(
         self,

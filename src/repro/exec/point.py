@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
@@ -137,49 +137,6 @@ def execute_point(point: RunPoint) -> RunResult:
     trace = _point_trace(point)
     system = System(point.config)
     return system.run(trace, warm_regions=warm_regions_of(program))
-
-
-def execute_point_batch(points: Sequence[RunPoint]) -> List[RunResult]:
-    """Simulate a group of same-trace points in one batched pass.
-
-    All points must share ``(kernel, size, level)`` — they replay the
-    same encoded trace, so the group runs through
-    :func:`repro.cpu.batched.run_batch`: one pass over the opcode
-    columns drives every configuration lane simultaneously.  Lanes that
-    cannot batch fall back to solo ``System.run`` inside ``run_batch``;
-    either way each result is bit-identical to :func:`execute_point` of
-    the same point (pinned by ``tests/test_batched.py``).
-
-    Parameters
-    ----------
-    points : sequence of RunPoint
-        The group, sharing one ``(kernel, size, level)``.
-
-    Returns
-    -------
-    list of RunResult
-        One result per point, in input order.
-
-    Raises
-    ------
-    ValueError
-        When the points do not share a single trace identity.
-    """
-    if not points:
-        return []
-    first = points[0]
-    group_key = (first.kernel, first.size, first.level)
-    for point in points:
-        if (point.kernel, point.size, point.level) != group_key:
-            raise ValueError(
-                f"batched group mixes traces: {point.display()} vs {first.display()}"
-            )
-    from ..cpu.batched import run_batch
-
-    program = build_point_program(first)
-    trace = _point_trace(first)
-    systems = [System(point.config) for point in points]
-    return run_batch(trace, systems, warm_regions=warm_regions_of(program))
 
 
 def execute_point_timed(point: RunPoint) -> Tuple[RunResult, int, float]:

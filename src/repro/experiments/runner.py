@@ -355,18 +355,15 @@ class ExperimentRunner:
         self,
         specs: Sequence[Tuple],
     ) -> None:
-        """Batch-execute run requests (engine fan-out or serial lanes).
+        """Hand a batch of run requests to the engine up front.
 
         With an engine attached the whole batch is handed over at once,
         so independent points run with up to ``engine.jobs``-way
-        parallelism and cache hits replay immediately.  Without an
-        engine, requests sharing a trace (same kernel and level) run as
-        lanes of one batched multi-lane replay
-        (:func:`repro.cpu.batched.run_batch`) — one pass over the
-        opcode columns per kernel instead of one per configuration.
-        Either way results land in the runner's in-memory memo, making
-        the subsequent :meth:`run` calls instant, and are bit-identical
-        to on-demand serial runs.
+        parallelism and cache hits replay immediately; results land in
+        the runner's in-memory memo, making the subsequent :meth:`run`
+        calls instant, and are bit-identical to on-demand serial runs.
+        Without an engine this is a no-op: :meth:`run` replays each
+        request on demand, one encoded pass per point.
 
         Parameters
         ----------
@@ -375,13 +372,10 @@ class ExperimentRunner:
             cache_key)`` tuples, exactly as :meth:`run` would receive
             them.  Already-memoised and duplicate requests are skipped.
         """
-        if self.check:
+        if self.check or self.engine is None:
             # Sanitized runs never fan out (see :meth:`run`); letting
             # a prefetch path compute unchecked results would defeat
             # --check.
-            return
-        if self.engine is None:
-            self._prefetch_serial(specs)
             return
         from ..exec.cache import cache_key_of
 
@@ -407,44 +401,6 @@ class ExperimentRunner:
             return
         for key, result in zip(keys, self.engine.run_points(points)):
             self._results[key] = result
-
-    def _prefetch_serial(self, specs: Sequence[Tuple]) -> None:
-        """Serial prefetch: run same-trace requests as batched lanes.
-
-        Groups the not-yet-memoised requests by ``(kernel, level)`` and
-        replays each group's configurations as lanes of one
-        :func:`repro.cpu.batched.run_batch` pass.  Requests without a
-        memo key are skipped (their results could not be retained), as
-        are single-lane groups — :meth:`run` computes those on demand
-        at identical cost.
-
-        Parameters
-        ----------
-        specs : sequence of tuple
-            Run requests, as :meth:`prefetch` receives them.
-        """
-        from ..cpu.batched import run_batch
-
-        grouped: Dict[Tuple, List[Tuple]] = {}
-        seen = set()
-        for spec in specs:
-            config, kernel, level = spec[0], spec[1], spec[2]
-            cache_key = spec[3] if len(spec) > 3 else None
-            key = self._memo_key(config, kernel, level, cache_key)
-            if key is None or key in self._results or key in seen:
-                continue
-            seen.add(key)
-            grouped.setdefault((kernel, level), []).append((config, key))
-        for (kernel, level), lanes in grouped.items():
-            if len(lanes) < 2:
-                continue
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            systems = [make_system(config) for config, _ in lanes]
-            for (_, key), result in zip(
-                lanes, run_batch(trace, systems, warm_regions=regions)
-            ):
-                self._results[key] = result
 
     def profile(
         self,

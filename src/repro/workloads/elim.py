@@ -7,10 +7,9 @@ models, with one per-set truncated LRU stack per cache set, and uses it
 to annotate an :class:`~repro.workloads.encode.EncodedTrace` with
 **guaranteed-hit runs**: maximal event spans in which every load and
 store *provably* hits a cache of the given shape — no fill, no
-eviction, no clean-to-dirty transition — so the replay paths
-(:meth:`repro.cpu.model.InOrderCPU.run_encoded` and the generated
-stepper in :mod:`repro.cpu.batched`) can consume a whole run in one
-step instead of N per-event passes.
+eviction, no clean-to-dirty transition — so encoded replay
+(:meth:`repro.cpu.model.InOrderCPU.run_encoded`) can consume a whole
+run in one step instead of N per-event passes.
 
 Shape and oracle
 ----------------
@@ -52,14 +51,12 @@ the per-event path.  Pinned by the audit's warm leg and
 What a run record carries
 -------------------------
 
-Enough for both consumption tiers of
-:func:`repro.cpu.fastpath.make_run_applier` without re-reading the
-address columns: a packed per-event word array (opcode kind + bank or
-operand) for the exact per-event *lite* tier, per-segment event counts
-split at stores for the closed-form tier, per-bank entry-gate prefix
-weights, last-access descriptors for the closed form's exit
-``bank_busy`` reconstruction, and the per-set MRU tag order at run end
-for the batch LRU-recency replay.
+Enough for :func:`repro.cpu.fastpath.make_run_applier` to consume the
+run without re-reading the address columns: event counts for the
+cursor jumps and bulk stat updates, a packed per-event word array
+(opcode kind + bank or operand) for the exact per-event timing loop,
+and the per-set MRU tag order at run end for the batch LRU-recency
+replay.
 
 Annotations are memoized on the trace itself (keyed by shape), so a
 trace replayed through N same-shaped configurations is profiled once.
@@ -67,7 +64,6 @@ trace replayed through N same-shaped configurations is profiled once.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -82,8 +78,8 @@ from .encode import (
 )
 
 #: Minimum events (marks excluded) for a hit span to be worth a run
-#: record: below this, the per-run apply overhead (entry gates, LRU
-#: replay, bookkeeping) eats the per-event savings.
+#: record: below this, the per-run apply overhead (LRU replay,
+#: bookkeeping) eats the per-event savings.
 MIN_RUN_EVENTS = 16
 
 #: Packed-word kinds (low 3 bits of each ``HitRun.packed`` entry; the
@@ -105,8 +101,8 @@ SPANNING = 3
 #: own counts, which the parent engine cannot see.
 _COUNTERS = {"events_eliminated": 0, "runs_applied": 0}
 
-#: Session override installed by :func:`forced` (``None`` = follow the
-#: ``REPRO_ELIM`` environment variable).
+#: Session override installed by :func:`forced` (``None`` = default:
+#: elimination on, annotation deferred per :func:`runs_for`).
 _FORCED: Optional[bool] = None
 
 
@@ -116,23 +112,20 @@ def enabled() -> bool:
     Returns
     -------
     bool
-        The :func:`forced` override when one is active, else ``True``
-        unless the ``REPRO_ELIM`` environment variable is ``"0"``.
+        The :func:`forced` override when one is active, else ``True``.
     """
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_ELIM", "1") != "0"
+    return _FORCED is not False
 
 
 @contextmanager
 def forced(on: bool) -> Iterator[None]:
-    """Force elimination on or off for a scope, ignoring ``REPRO_ELIM``.
+    """Force elimination on or off for a scope.
 
     Parameters
     ----------
     on : bool
-        ``True`` forces elimination on; ``False`` forces the pure
-        per-event paths.
+        ``True`` forces elimination on from the first pass (no
+        deferral); ``False`` forces the pure per-event path.
     """
     global _FORCED
     previous = _FORCED
@@ -176,42 +169,23 @@ class HitRun:
         One word per load/store/compute/branch event in order (marks
         omitted): low 3 bits the ``PK_*`` kind, high bits the bank
         (loads/stores), ops count (computes) or taken flag (branches).
-        Drives the exact per-event *lite* apply tier — kept as a plain
-        list because the lite loop iterates it on every replay and list
-        iteration reuses the boxed ints (an ``array`` would re-box each
-        word on every pass).
-    segs : tuple of tuple
-        ``(n_loads, ops, n_taken, n_exit)`` per segment, split at
-        stores — ``len(segs) == n_stores + 1``.  Drives the closed-form
-        tier's clock recurrence.
-    gate : tuple of tuple
-        ``(bank, n_loads, ops, n_stores, n_branches)`` for the first
-        access to each touched bank: the event-count prefix before it,
-        a lower bound on the clock advance, used by the closed form's
-        zero-bank-wait entry gate.
-    last_banks : tuple of tuple
-        Per touched bank, how to reconstruct its final busy time:
-        ``(bank, 0, store_ordinal, 0, 0, 0, 0)`` when the last access
-        is a store, ``(bank, 1, seg_index, n_loads, ops, n_taken,
-        n_exit)`` (in-segment prefix before the load) when it is a
-        load.
+        Drives the applier's exact per-event timing loop — kept as a
+        plain list because that loop iterates it on every replay and
+        list iteration reuses the boxed ints (an ``array`` would re-box
+        each word on every pass).
     lru_sets : tuple of tuple
         ``(set_index, (tag, ...))`` per touched set: the run-touched
         cache tags in MRU-first order at run end, for the batch
         LRU-recency replay.
     """
 
-    __slots__ = ("start", "end", "counts", "packed", "segs", "gate",
-                 "last_banks", "lru_sets")
+    __slots__ = ("start", "end", "counts", "packed", "lru_sets")
 
-    def __init__(self, start, end, counts, packed, segs, gate, last_banks, lru_sets):
+    def __init__(self, start, end, counts, packed, lru_sets):
         self.start = start
         self.end = end
         self.counts = counts
         self.packed = packed
-        self.segs = segs
-        self.gate = gate
-        self.last_banks = last_banks
         self.lru_sets = lru_sets
 
     def __repr__(self) -> str:
@@ -262,17 +236,23 @@ def annotate_trace(
 
 
 def runs_for(trace: EncodedTrace, shape: Tuple[int, int, int, int]) -> Tuple[HitRun, ...]:
-    """Runs for one replay pass, deferring first-pass annotation.
+    """Runs for one replay pass, deferring annotation to the third pass.
 
-    The profiling pass behind :func:`annotate_trace` costs about as much
-    as one per-event replay, so eliminating a trace that is only ever
-    replayed once through a shape is a net loss.  The replay paths
-    therefore call this instead of :func:`annotate_trace`: the first
-    pass over a ``(trace, shape)`` in a process runs per-event (and only
-    books the demand), annotation happens from the second pass on, when
-    the one-time cost amortises.  A :func:`forced` ``True`` scope
-    annotates immediately (benchmarks, the audit's eliminated leg and
-    the bit-identity tests all measure the steady state).
+    Measured over the twelve MINI kernels on the eligible sram, dropin
+    and hybrid lanes (CPython 3.11 on a 2-vCPU x86-64 guest), the
+    profiling pass behind :func:`annotate_trace` costs 0.65 of a
+    per-event ``System.run`` and an eliminated run saves 0.35 of one,
+    so annotation pays back only after about two eliminated passes.  Encoded replay therefore calls
+    this instead of :func:`annotate_trace`: the first two passes over a
+    ``(trace, shape)`` in a process run per-event (and only book the
+    demand), and annotation happens on the third, once repeated replay
+    has shown itself.  Annotating on the second pass lets a one-shot
+    grid annotate on the second of its two passes through the SRAM DL1
+    shape (drop-in and the SRAM baseline) and never amortise it: the
+    serial penalties grid then peaks at 51.7 MB RSS instead of 39.0 MB,
+    with no wall-time gain.  A :func:`forced` ``True`` scope annotates
+    immediately (benchmarks, the audit's eliminated leg and the
+    bit-identity tests all measure the steady state).
 
     Parameters
     ----------
@@ -284,14 +264,14 @@ def runs_for(trace: EncodedTrace, shape: Tuple[int, int, int, int]) -> Tuple[Hit
     Returns
     -------
     tuple of HitRun
-        The annotation — empty on the first (deferred) pass and for
+        The annotation — empty on the deferred passes and for
         ineligible traces/shapes.
     """
     memo = trace._analysis
     key = ("elim-passes",) + tuple(shape)
     passes = memo.get(key, 0)
     memo[key] = passes + 1
-    if passes or _FORCED:
+    if passes >= 2 or _FORCED:
         return annotate_trace(trace, shape)
     return ()
 
@@ -322,13 +302,7 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
     pk_append = packed.append
     run_start = 0
     n_loads = n_stores = n_computes = ops_total = n_taken = n_exit = 0
-    segs: List[Tuple[int, int, int, int]] = []
-    seg_nl = seg_ops = seg_tk = seg_ex = 0
-    gate: Dict[int, Tuple[int, int, int, int]] = {}
-    last_banks: Dict[int, Tuple] = {}
     touched_lines: Dict[int, bool] = {}
-    # Running whole-run prefix counts (events before the current one).
-    p_nl = p_ops = p_nst = p_nbr = 0
 
     def close_run(end: int) -> None:
         """Emit the current span as a run if it is long enough.
@@ -339,7 +313,6 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
         boundary event runs per-event against that state).
         """
         if len(packed) >= MIN_RUN_EVENTS:
-            segs.append((seg_nl, seg_ops, seg_tk, seg_ex))
             # The run's in-run hits reorder but never evict, so each
             # touched set's top-|touched lines| stack prefix is exactly
             # the run-touched lines in MRU order.
@@ -358,11 +331,6 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                     counts=(n_loads, n_stores, n_computes, ops_total,
                             n_taken, n_exit),
                     packed=packed,
-                    segs=tuple(segs),
-                    gate=tuple((b,) + p for b, p in gate.items()),
-                    last_banks=tuple(
-                        (b,) + d for b, d in last_banks.items()
-                    ),
                     lru_sets=lru_sets,
                 )
             )
@@ -398,12 +366,7 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                 run_start = i + 1
                 n_loads = n_stores = n_computes = ops_total = 0
                 n_taken = n_exit = 0
-                segs = []
-                seg_nl = seg_ops = seg_tk = seg_ex = 0
-                gate = {}
-                last_banks = {}
                 touched_lines = {}
-                p_nl = p_ops = p_nst = p_nbr = 0
                 # Oracle update for the boundary event, mirroring the
                 # generic per-line loop (touch hits, fill+evict misses).
                 for ln in range(line, last_line + 1):
@@ -425,40 +388,26 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                 stack.insert(0, line)
             bank = line & bank_mask
             touched_lines[line] = True
-            if bank not in gate:
-                gate[bank] = (p_nl, p_ops, p_nst, p_nbr)
             if op == OP_LOAD:
                 pk_append(bank << 3)  # PK_LOAD == 0
-                last_banks[bank] = (1, len(segs), seg_nl, seg_ops, seg_tk, seg_ex)
                 n_loads += 1
-                seg_nl += 1
-                p_nl += 1
             else:
                 pk_append(PK_STORE | (bank << 3))
-                last_banks[bank] = (0, n_stores, 0, 0, 0, 0)
-                segs.append((seg_nl, seg_ops, seg_tk, seg_ex))
-                seg_nl = seg_ops = seg_tk = seg_ex = 0
                 n_stores += 1
-                p_nst += 1
         elif op == OP_COMPUTE:
             o = ops_col[ci]
             ci += 1
             pk_append(PK_COMPUTE | (o << 3))
             n_computes += 1
             ops_total += o
-            seg_ops += o
-            p_ops += o
         elif op == OP_BRANCH:
             t = tk_col[ti]
             ti += 1
             pk_append(PK_BRANCH | (t << 3))
             if t:
                 n_taken += 1
-                seg_tk += 1
             else:
                 n_exit += 1
-                seg_ex += 1
-            p_nbr += 1
         elif op == OP_MARK:
             if not packed:
                 run_start = i + 1  # a run must not start on a mark:

@@ -3,7 +3,7 @@
 The simulator core and the experiment engine ship "documented end to
 end": every module and every public class/function in these packages
 (:mod:`repro.exec` — resilience included — :mod:`repro.experiments`,
-and :mod:`repro.cpu` with the batched replay engine) carries a
+and :mod:`repro.cpu` with the encoded replay fast path) carries a
 docstring, and parameter/attribute documentation uses NumPy style
 (underlined ``Parameters``/``Returns``/``Raises``/``Attributes``
 sections), not the Google ``Args:`` form.  CI additionally runs

@@ -10,9 +10,11 @@ Four contracts are pinned here:
   brute force — no fill, no eviction, no clean-to-dirty transition —
   and the run records' counts are internally consistent;
 - replay with elimination forced **on** is bit-identical (whole
-  ``RunResult``) to replay with it forced **off**, serial and batched,
-  over a kernel/configuration grid (set ``REPRO_ELIM_GRID=full`` for
-  the full kernel x config x opt-level sweep CI runs);
+  ``RunResult``) to replay with it forced **off** over a
+  kernel/configuration grid (set ``REPRO_ELIM_GRID=full`` for the full
+  kernel x config x opt-level sweep CI runs);
+- annotation is deferred to the third replay pass over a
+  (trace, shape), so one-shot grids never pay for it;
 - the elimination counters flow into :class:`~repro.exec.engine
   .ExecStats` and telemetry manifests.
 """
@@ -25,10 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.batched import run_batch
 from repro.cpu.fastpath import make_run_applier
 from repro.cpu.system import System, SystemConfig, warm_regions_of
 from repro.exec import ExecutionEngine, RunPoint
+from repro.experiments.runner import ExperimentRunner
 from repro.transforms.pipeline import OptLevel, optimize
 from repro.workloads import build_kernel, kernel_names
 from repro.workloads.elim import (
@@ -214,7 +216,6 @@ class TestOracleProperty:
             assert len(run.packed) == (
                 n_loads + n_stores + n_computes + n_taken + n_exit
             )
-            assert len(run.segs) == n_stores + 1
 
 
 class TestRealTraces:
@@ -260,18 +261,31 @@ class TestRealTraces:
         assert make_run_applier(vwb.frontend, vwb.config.cpu) is None
 
     def test_first_pass_defers_annotation(self):
-        # The replay paths only annotate from the second pass over a
-        # (trace, shape): a one-shot replay must not pay the profiling
-        # pass.  forced(True) overrides the deferral.
+        # Encoded replay only annotates from the third pass over a
+        # (trace, shape): annotation costs about two thirds of a replay
+        # and each eliminated pass saves about a third, so one-shot
+        # grids must not pay for it.  forced(True) overrides the
+        # deferral.
         program = build_kernel("atax")
         trace = encode_trace(program)
         shape = (64, 512, 2, 4)
-        assert runs_for(trace, shape) == ()
-        assert ("elim",) + shape not in trace._analysis
+        for _ in range(2):
+            assert runs_for(trace, shape) == ()
+            assert ("elim",) + shape not in trace._analysis
         assert len(runs_for(trace, shape)) > 0
         forced_trace = encode_trace(program)
         with forced(True):
             assert len(runs_for(forced_trace, shape)) > 0
+
+    def test_one_shot_penalties_never_annotate(self):
+        # An engine-less penalties column replays each kernel twice
+        # through the SRAM DL1 shape (drop-in, then the SRAM baseline):
+        # below the break-even, so no trace may carry an annotation.
+        runner = ExperimentRunner(kernels=["atax", "gemm"])
+        runner.penalties("dropin")
+        for kernel in runner.kernels:
+            memo = runner.trace(kernel)._analysis
+            assert not any(key[0] == "elim" for key in memo), kernel
 
 
 class TestBitIdentity:
@@ -287,20 +301,6 @@ class TestBitIdentity:
             with forced(False):
                 off = System(make()).run(trace, warm_regions=regions)
             assert on == off, f"{kernel}/{name}/{level.name}"
-
-    def test_batched_grid(self):
-        for kernel in GRID_KERNELS:
-            trace, regions = _material(kernel)
-            configs = [make() for make in CONFIGS.values()]
-            with forced(True):
-                on = run_batch(
-                    trace, [System(c) for c in configs], warm_regions=regions
-                )
-            with forced(False):
-                off = run_batch(
-                    trace, [System(c) for c in configs], warm_regions=regions
-                )
-            assert on == off, kernel
 
     def test_warm_reruns_stay_identical(self):
         trace, regions = _material("atax")

@@ -259,12 +259,18 @@ class TestInterruptAndResume:
 
     def test_sigint_checkpoints_then_resume_executes_only_the_rest(self, tmp_path):
         proc = self._spawn(tmp_path)
-        time.sleep(5.0)  # mid-sweep: some points done, more outstanding
+        journal = tmp_path / ".cache" / "journal.jsonl"
+        # Interrupt mid-sweep: as soon as the first point is checkpointed,
+        # with more outstanding.  A fixed sleep races a fast host's sweep.
+        deadline = time.monotonic() + 120.0
+        while not (journal.exists() and journal.read_text().strip()):
+            assert proc.poll() is None, "sweep finished before its first checkpoint"
+            assert time.monotonic() < deadline, "no checkpoint within 120 s"
+            time.sleep(0.02)
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == EXIT_INTERRUPTED, err.decode()
         assert b"resume" in err
-        journal = tmp_path / ".cache" / "journal.jsonl"
         assert journal.exists() and journal.read_text().strip()
 
         interrupted = json.loads((tmp_path / ".tele" / "manifest.json").read_text())
