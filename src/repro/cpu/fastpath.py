@@ -661,7 +661,7 @@ def make_run_applier(frontend: DCacheFrontend, cpu_cfg) -> Optional[RunApplier]:
 
     def apply(run, c, bc, bb, bl, bs, sq, hist):
         """Consume one hit run; see :class:`RunApplier`."""
-        n_loads, n_stores = run.counts[:2]
+        n_loads, n_stores = run.counts
         # -- exact per-event timing over the packed words --
         bwc = 0
         for word in run.packed:

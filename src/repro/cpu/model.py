@@ -424,6 +424,19 @@ class InOrderCPU:
         timing arithmetic is evaluated in the identical order and the
         result is bit-identical (pinned by ``tests/test_encode.py``).
 
+        On lanes eligible for hit-run elimination
+        (:func:`~repro.cpu.fastpath.make_run_applier`) the trace's
+        guaranteed-hit runs (:func:`~repro.workloads.elim.runs_for`)
+        split the opcode stream into gaps.  Each gap replays per event;
+        each run between two gaps is consumed by one ``applier.apply``
+        call that advances the clock, accumulators, store queue, bank
+        busy times, LRU orders and stat counters to the values the
+        per-event loop would reach, after which the operand iterators
+        are re-seated at the run's end cursors (:attr:`~repro
+        .workloads.elim.HitRun.cursors`).  Without runs the whole trace
+        is one gap.  Bit-identity with elimination forced off is pinned
+        by ``tests/test_elim.py``.
+
         Probed and i-fetch-modelling runs replay the decoded event
         stream through :meth:`run` instead: probe callbacks fire with
         exactly the object path's arguments and ordering.
@@ -433,12 +446,12 @@ class InOrderCPU:
             return self.run(trace.decode_iter())
 
         frontend = self.frontend
+        runs = ()
         if elim_enabled():
             applier = make_run_applier(frontend, cfg)
             if applier is not None:
                 runs = elim_runs_for(trace, applier.shape)
-                if runs:
-                    return self._run_encoded_elim(trace, applier, runs)
+                apply_run = applier.apply
         fast = make_fast_ops(frontend)
         fast_read, fast_write = fast if fast is not None else (None, None)
         frontend_read = frontend.read
@@ -447,15 +460,24 @@ class InOrderCPU:
 
         # Operand columns as bound iterators: each kind's stream is
         # consumed strictly in opcode order, so a `next` per event
-        # replaces index-plus-cursor bookkeeping in the hot loop.
-        ops_col = trace.ops
-        next_load_addr = iter(trace.load_addrs).__next__
-        next_load_size = iter(trace.load_sizes).__next__
-        next_store_addr = iter(trace.store_addrs).__next__
-        next_store_size = iter(trace.store_sizes).__next__
+        # replaces index-plus-cursor bookkeeping in the hot loop.  A run
+        # re-seats them on zero-copy views of the columns.
+        opcodes, ops_col = trace.opcodes, trace.ops
+        load_addrs, load_sizes = trace.load_addrs, trace.load_sizes
+        store_addrs, store_sizes = trace.store_addrs, trace.store_sizes
+        taken = trace.taken
+        next_load_addr = iter(load_addrs).__next__
+        next_load_size = iter(load_sizes).__next__
+        next_store_addr = iter(store_addrs).__next__
+        next_store_size = iter(store_sizes).__next__
         next_pf_addr = iter(trace.pf_addrs).__next__
         next_ops = iter(ops_col).__next__
-        next_taken = iter(trace.taken).__next__
+        next_taken = iter(taken).__next__
+        if runs:
+            la_view, ls_view, sa_view, ss_view, ops_view, tk_view = map(
+                memoryview,
+                (load_addrs, load_sizes, store_addrs, store_sizes, ops_col, taken),
+            )
         op_load, op_compute, op_store = OP_LOAD, OP_COMPUTE, OP_STORE
         op_branch, op_prefetch = OP_BRANCH, OP_PREFETCH
 
@@ -475,56 +497,73 @@ class InOrderCPU:
         taken_cost = cfg.branch_cycles
         exit_cost = cfg.branch_cycles + cfg.branch_mispredict_cycles
 
-        for op in trace.opcodes:
-            if op == op_load:
-                addr = next_load_addr()
-                size = next_load_size()
-                if fast_read is not None:
-                    latency = fast_read(addr, size, cycles)
-                    if latency is None:
+        gap_start = 0
+        for run in (*runs, None):
+            gap_end = len(opcodes) if run is None else run.start
+            for op in opcodes[gap_start:gap_end]:
+                if op == op_load:
+                    addr = next_load_addr()
+                    size = next_load_size()
+                    if fast_read is not None:
+                        latency = fast_read(addr, size, cycles)
+                        if latency is None:
+                            latency = frontend_read(addr, size, cycles)
+                    else:
                         latency = frontend_read(addr, size, cycles)
-                else:
-                    latency = frontend_read(addr, size, cycles)
-                exposed = latency - overlap
-                if exposed < 1.0:
-                    exposed = 1.0
-                cycles += exposed
-                b_load += exposed
-                bucket = int(exposed)
-                hist[bucket if bucket < cap else cap] += 1
-            elif op == op_compute:
-                o = next_ops()
-                cycles += o
-                b_compute += o
-            elif op == op_store:
-                addr = next_store_addr()
-                size = next_store_size()
-                start = cycles
-                # Retire drained stores, then stall if the buffer is full.
-                while store_queue and store_queue[0] <= cycles:
-                    sq_popleft()
-                if len(store_queue) >= sb_entries:
-                    cycles = sq_popleft()
-                if fast_write is not None:
-                    latency = fast_write(addr, size, cycles)
-                    if latency is None:
+                    exposed = latency - overlap
+                    if exposed < 1.0:
+                        exposed = 1.0
+                    cycles += exposed
+                    b_load += exposed
+                    bucket = int(exposed)
+                    hist[bucket if bucket < cap else cap] += 1
+                elif op == op_compute:
+                    o = next_ops()
+                    cycles += o
+                    b_compute += o
+                elif op == op_store:
+                    addr = next_store_addr()
+                    size = next_store_size()
+                    start = cycles
+                    # Retire drained stores, then stall if the buffer is full.
+                    while store_queue and store_queue[0] <= cycles:
+                        sq_popleft()
+                    if len(store_queue) >= sb_entries:
+                        cycles = sq_popleft()
+                    if fast_write is not None:
+                        latency = fast_write(addr, size, cycles)
+                        if latency is None:
+                            latency = frontend_write(addr, size, cycles)
+                    else:
                         latency = frontend_write(addr, size, cycles)
-                else:
-                    latency = frontend_write(addr, size, cycles)
-                tail = store_queue[-1] if store_queue else cycles
-                sq_append(max(cycles, tail) + latency)
-                cycles += store_issue
-                b_store += cycles - start
-            elif op == op_branch:
-                cost = taken_cost if next_taken() else exit_cost
-                cycles += cost
-                b_branch += cost
-            elif op == op_prefetch:
-                stall = frontend_prefetch(next_pf_addr(), cycles)
-                cost = pf_issue + stall
-                cycles += cost
-                b_prefetch += cost
-            # else OP_MARK: zero-cost annotation, nothing to do unprobed.
+                    tail = store_queue[-1] if store_queue else cycles
+                    sq_append(max(cycles, tail) + latency)
+                    cycles += store_issue
+                    b_store += cycles - start
+                elif op == op_branch:
+                    cost = taken_cost if next_taken() else exit_cost
+                    cycles += cost
+                    b_branch += cost
+                elif op == op_prefetch:
+                    stall = frontend_prefetch(next_pf_addr(), cycles)
+                    cost = pf_issue + stall
+                    cycles += cost
+                    b_prefetch += cost
+                # else OP_MARK: zero-cost annotation, nothing to do unprobed.
+            if run is None:
+                break
+            cycles, b_compute, b_branch, b_load, b_store = apply_run(
+                run, cycles, b_compute, b_branch, b_load, b_store,
+                store_queue, hist,
+            )
+            li, si, ci, ti = run.cursors
+            next_load_addr = iter(la_view[li:]).__next__
+            next_load_size = iter(ls_view[li:]).__next__
+            next_store_addr = iter(sa_view[si:]).__next__
+            next_store_size = iter(ss_view[si:]).__next__
+            next_ops = iter(ops_view[ci:]).__next__
+            next_taken = iter(tk_view[ti:]).__next__
+            gap_start = run.end
 
         # Drain the store buffer: the kernel is done when memory is.
         # Same final-drain attribution as `run`: the drain books under
@@ -535,153 +574,8 @@ class InOrderCPU:
 
         # Event totals come straight from the column lengths; they equal
         # the per-event increments of the object path exactly (integers).
-        n_loads, n_stores = len(trace.load_addrs), len(trace.store_addrs)
-        n_branches, n_prefetches = len(trace.taken), len(trace.pf_addrs)
-        total_ops = sum(ops_col)
-        return RunResult(
-            cycles=cycles,
-            instructions=n_loads + n_stores + n_branches + n_prefetches + total_ops,
-            breakdown={
-                "compute": b_compute,
-                "branch": b_branch,
-                "load": b_load,
-                "store": b_store,
-                "prefetch": b_prefetch,
-                "ifetch": 0.0,
-            },
-            counts={
-                "loads": n_loads,
-                "stores": n_stores,
-                "branches": n_branches,
-                "prefetches": n_prefetches,
-                "compute_ops": total_ops,
-            },
-            frontend_stats=frontend.stats.as_dict(),
-            dl1_stats=frontend.backing.stats.as_dict(),
-            load_latency_histogram={b: n for b, n in enumerate(hist) if n},
-        )
-
-    def _run_encoded_elim(self, trace: EncodedTrace, applier, runs) -> RunResult:
-        """Encoded replay consuming guaranteed-hit runs in one step each.
-
-        The gap events between runs (misses, dirty transitions, spanning
-        accesses and everything around them) replay through exactly
-        :meth:`run_encoded`'s per-event arithmetic — same fast kernels,
-        same accumulator order — while each annotated run is consumed by
-        one ``applier.apply`` call that advances the clock, ledger,
-        store queue, bank busy times, LRU orders and stat counters to
-        bit-identical values (see
-        :func:`~repro.cpu.fastpath.make_run_applier`).  Runs never start
-        on marks and never exist in prefetch-bearing traces, so the gap
-        loop needs no mark or prefetch special cases beyond
-        :meth:`run_encoded`'s own.
-        """
-        cfg = self.config
-        frontend = self.frontend
-        fast = make_fast_ops(frontend)
-        fast_read, fast_write = fast if fast is not None else (None, None)
-        frontend_read = frontend.read
-        frontend_write = frontend.write
-
-        opcodes = trace.opcodes
-        la, lsz = trace.load_addrs, trace.load_sizes
-        sa, ssz = trace.store_addrs, trace.store_sizes
-        ops_col, tk_col = trace.ops, trace.taken
-        op_load, op_compute = OP_LOAD, OP_COMPUTE
-        op_store, op_branch = OP_STORE, OP_BRANCH
-
-        cycles = 0.0
-        b_compute = b_branch = b_load = b_store = b_prefetch = 0.0
-        cap = LOAD_HISTOGRAM_CAP
-        hist = [0] * (cap + 1)
-        store_queue: Deque[float] = deque()
-        self.store_queue = store_queue
-        sq_popleft = store_queue.popleft
-        sq_append = store_queue.append
-        sb_entries = cfg.store_buffer_entries
-        store_issue = cfg.store_issue_cycles
-        overlap = cfg.load_use_overlap
-        taken_cost = cfg.branch_cycles
-        exit_cost = cfg.branch_cycles + cfg.branch_mispredict_cycles
-
-        apply_run = applier.apply
-        run_idx = 0
-        n_runs = len(runs)
-        next_start = runs[0].start
-        li = si = ci = ti = 0
-        i = 0
-        n = len(opcodes)
-        while i < n:
-            if i == next_start:
-                run = runs[run_idx]
-                cycles, b_compute, b_branch, b_load, b_store = apply_run(
-                    run, cycles, b_compute, b_branch, b_load, b_store,
-                    store_queue, hist,
-                )
-                nl, ns, nc, _ops, ntk, nex = run.counts
-                li += nl
-                si += ns
-                ci += nc
-                ti += ntk + nex
-                i = run.end
-                run_idx += 1
-                next_start = runs[run_idx].start if run_idx < n_runs else -1
-                continue
-            op = opcodes[i]
-            i += 1
-            if op == op_load:
-                addr = la[li]
-                size = lsz[li]
-                li += 1
-                if fast_read is not None:
-                    latency = fast_read(addr, size, cycles)
-                    if latency is None:
-                        latency = frontend_read(addr, size, cycles)
-                else:
-                    latency = frontend_read(addr, size, cycles)
-                exposed = latency - overlap
-                if exposed < 1.0:
-                    exposed = 1.0
-                cycles += exposed
-                b_load += exposed
-                bucket = int(exposed)
-                hist[bucket if bucket < cap else cap] += 1
-            elif op == op_compute:
-                o = ops_col[ci]
-                ci += 1
-                cycles += o
-                b_compute += o
-            elif op == op_store:
-                addr = sa[si]
-                size = ssz[si]
-                si += 1
-                start = cycles
-                while store_queue and store_queue[0] <= cycles:
-                    sq_popleft()
-                if len(store_queue) >= sb_entries:
-                    cycles = sq_popleft()
-                if fast_write is not None:
-                    latency = fast_write(addr, size, cycles)
-                    if latency is None:
-                        latency = frontend_write(addr, size, cycles)
-                else:
-                    latency = frontend_write(addr, size, cycles)
-                tail = store_queue[-1] if store_queue else cycles
-                sq_append(max(cycles, tail) + latency)
-                cycles += store_issue
-                b_store += cycles - start
-            elif op == op_branch:
-                cost = taken_cost if tk_col[ti] else exit_cost
-                cycles += cost
-                b_branch += cost
-            # else OP_MARK: zero-cost annotation, nothing to do unprobed.
-
-        if store_queue and store_queue[-1] > cycles:
-            b_store += store_queue[-1] - cycles
-            cycles = store_queue[-1]
-
-        n_loads, n_stores = len(la), len(sa)
-        n_branches, n_prefetches = len(tk_col), len(trace.pf_addrs)
+        n_loads, n_stores = len(load_addrs), len(store_addrs)
+        n_branches, n_prefetches = len(taken), len(trace.pf_addrs)
         total_ops = sum(ops_col)
         return RunResult(
             cycles=cycles,

@@ -42,7 +42,7 @@ from .cache import (
     key_material_of,
 )
 from .engine import BatchOutcome, ExecStats, ExecutionEngine, make_engine
-from .point import RunPoint, execute_point, execute_point_timed
+from .point import RunPoint, execute_point
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
@@ -73,7 +73,6 @@ __all__ = [
     "code_fingerprint",
     "estimate_point_cost",
     "execute_point",
-    "execute_point_timed",
     "ir_fingerprint",
     "key_material_of",
     "make_engine",

@@ -18,8 +18,6 @@ process is bit-identical to the same point executed inline (pinned by
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -138,26 +136,3 @@ def execute_point(point: RunPoint) -> RunResult:
     system = System(point.config)
     return system.run(trace, warm_regions=warm_regions_of(program))
 
-
-def execute_point_timed(point: RunPoint) -> Tuple[RunResult, int, float]:
-    """Simulate one point, reporting the executing pid and wall time.
-
-    A thin telemetry wrapper around :func:`execute_point` — the result
-    passes through untouched, so timed execution stays bit-identical to
-    the plain path.  Module-level so :mod:`concurrent.futures` can
-    pickle it by name, like :func:`execute_point` itself.
-
-    Parameters
-    ----------
-    point : RunPoint
-        The simulation point.
-
-    Returns
-    -------
-    tuple of (RunResult, int, float)
-        The result, the pid of the process that executed it, and the
-        execution wall time in seconds (monotonic clock).
-    """
-    t0 = time.monotonic()
-    result = execute_point(point)
-    return result, os.getpid(), time.monotonic() - t0

@@ -52,11 +52,11 @@ What a run record carries
 -------------------------
 
 Enough for :func:`repro.cpu.fastpath.make_run_applier` to consume the
-run without re-reading the address columns: event counts for the
-cursor jumps and bulk stat updates, a packed per-event word array
-(opcode kind + bank or operand) for the exact per-event timing loop,
-and the per-set MRU tag order at run end for the batch LRU-recency
-replay.
+run without re-reading the address columns: load/store counts for the
+bulk hit-counter updates, a packed per-event word array (opcode kind +
+bank or operand) for the exact per-event timing loop, the per-set MRU
+tag order at run end for the batch LRU-recency replay, and the operand
+cursors at run end, where encoded replay resumes each column.
 
 Annotations are memoized on the trace itself (keyed by shape), so a
 trace replayed through N same-shaped configurations is profiled once.
@@ -88,12 +88,6 @@ PK_LOAD = 0
 PK_COMPUTE = 1
 PK_STORE = 2
 PK_BRANCH = 3
-
-#: Per-access oracle outcomes (see :func:`oracle_outcomes`).
-MISS = 0
-DIRTY_TRANSITION = 1
-PURE_HIT = 2
-SPANNING = 3
 
 #: Process-wide elimination counters, snapshot by the execution engine
 #: into :class:`~repro.exec.engine.ExecStats` (and from there into
@@ -162,8 +156,7 @@ class HitRun:
         Trace event index range ``[start, end)`` the run covers (leading
         marks trimmed; interior marks included — they cost nothing).
     counts : tuple of int
-        ``(n_loads, n_stores, n_computes, ops_total, n_taken, n_exit)``
-        over the span, for cursor jumps and bulk stat/accumulator
+        ``(n_loads, n_stores)`` over the span, for the bulk hit-counter
         updates.
     packed : list of int
         One word per load/store/compute/branch event in order (marks
@@ -177,16 +170,22 @@ class HitRun:
         ``(set_index, (tag, ...))`` per touched set: the run-touched
         cache tags in MRU-first order at run end, for the batch
         LRU-recency replay.
+    cursors : tuple of int
+        ``(loads, stores, computes, branches)``: how many events of each
+        kind precede ``end`` in the trace — the positions in the
+        load/store/ops/taken operand columns at which encoded replay
+        resumes after consuming the run.
     """
 
-    __slots__ = ("start", "end", "counts", "packed", "lru_sets")
+    __slots__ = ("start", "end", "counts", "packed", "lru_sets", "cursors")
 
-    def __init__(self, start, end, counts, packed, lru_sets):
+    def __init__(self, start, end, counts, packed, lru_sets, cursors):
         self.start = start
         self.end = end
         self.counts = counts
         self.packed = packed
         self.lru_sets = lru_sets
+        self.cursors = cursors
 
     def __repr__(self) -> str:
         return f"HitRun([{self.start}, {self.end}), {len(self.packed)} events)"
@@ -301,10 +300,10 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
     packed: List[int] = []
     pk_append = packed.append
     run_start = 0
-    n_loads = n_stores = n_computes = ops_total = n_taken = n_exit = 0
+    n_loads = n_stores = 0
     touched_lines: Dict[int, bool] = {}
 
-    def close_run(end: int) -> None:
+    def close_run(end: int, cursors: Tuple[int, int, int, int]) -> None:
         """Emit the current span as a run if it is long enough.
 
         Must be called *before* the oracle processes the boundary event:
@@ -328,10 +327,10 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                 HitRun(
                     start=run_start,
                     end=end,
-                    counts=(n_loads, n_stores, n_computes, ops_total,
-                            n_taken, n_exit),
+                    counts=(n_loads, n_stores),
                     packed=packed,
                     lru_sets=lru_sets,
+                    cursors=cursors,
                 )
             )
 
@@ -360,12 +359,15 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                 else:
                     boundary = False
             if boundary:
-                close_run(i)
+                # The boundary event's own operand is already consumed.
+                if op == OP_LOAD:
+                    close_run(i, (li - 1, si, ci, ti))
+                else:
+                    close_run(i, (li, si - 1, ci, ti))
                 packed = []
                 pk_append = packed.append
                 run_start = i + 1
-                n_loads = n_stores = n_computes = ops_total = 0
-                n_taken = n_exit = 0
+                n_loads = n_stores = 0
                 touched_lines = {}
                 # Oracle update for the boundary event, mirroring the
                 # generic per-line loop (touch hits, fill+evict misses).
@@ -398,94 +400,18 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
             o = ops_col[ci]
             ci += 1
             pk_append(PK_COMPUTE | (o << 3))
-            n_computes += 1
-            ops_total += o
         elif op == OP_BRANCH:
             t = tk_col[ti]
             ti += 1
             pk_append(PK_BRANCH | (t << 3))
-            if t:
-                n_taken += 1
-            else:
-                n_exit += 1
         elif op == OP_MARK:
             if not packed:
                 run_start = i + 1  # a run must not start on a mark:
                 # the steppers have no mark dispatch arm to trigger on
         # OP_PREFETCH is unreachable: prefetch traces are rejected above.
 
-    close_run(len(opcodes))
+    close_run(len(opcodes), (li, si, ci, ti))
     return tuple(runs)
-
-
-def oracle_outcomes(trace: EncodedTrace, shape) -> bytes:
-    """Classify every load/store event of ``trace`` under ``shape``.
-
-    The reference form of the per-set stack oracle, exposed for the
-    property tests that pin it against a brute-force set-associative
-    LRU simulation (``tests/test_elim.py``); the annotation pass above
-    embeds the same decisions inline.
-
-    Parameters
-    ----------
-    trace : EncodedTrace
-        The event stream (software prefetches are not supported here —
-        callers gate on :func:`annotate_trace` returning runs at all).
-    shape : tuple of int
-        ``(line_bytes, sets, ways, banks)``.
-
-    Returns
-    -------
-    bytes
-        One code per load/store event in trace order: :data:`MISS`,
-        :data:`DIRTY_TRANSITION`, :data:`PURE_HIT` or :data:`SPANNING`.
-    """
-    line_bytes, sets, ways, _banks = shape
-    off = line_bytes.bit_length() - 1
-    set_mask = sets - 1
-    stacks: List[List[int]] = [[] for _ in range(sets)]
-    dirty: set = set()
-    out = bytearray()
-
-    la, ls = trace.load_addrs, trace.load_sizes
-    sa, ss = trace.store_addrs, trace.store_sizes
-    li = si = 0
-    for op in trace.opcodes:
-        if op == OP_LOAD:
-            addr, size, store = la[li], ls[li], False
-            li += 1
-        elif op == OP_STORE:
-            addr, size, store = sa[si], ss[si], True
-            si += 1
-        else:
-            continue
-        first = addr >> off
-        last = (addr + size - 1) >> off
-        if first != last:
-            code = SPANNING
-        else:
-            stack = stacks[first & set_mask]
-            if first in stack:
-                if store and first not in dirty:
-                    code = DIRTY_TRANSITION
-                else:
-                    code = PURE_HIT
-            else:
-                code = MISS
-        for ln in range(first, last + 1):
-            stack = stacks[ln & set_mask]
-            if ln in stack:
-                if stack[0] != ln:
-                    stack.remove(ln)
-                    stack.insert(0, ln)
-            else:
-                stack.insert(0, ln)
-                if len(stack) > ways:
-                    dirty.discard(stack.pop())
-            if store:
-                dirty.add(ln)
-        out.append(code)
-    return bytes(out)
 
 
 def eliminable_fraction(trace: EncodedTrace, shape) -> float:

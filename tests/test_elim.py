@@ -2,16 +2,15 @@
 
 Four contracts are pinned here:
 
-- the per-set LRU stack **oracle** (`repro.workloads.elim`) classifies
-  every load/store exactly like an independently written brute-force
-  set-associative LRU simulation, across fuzzed shapes and synthetic
-  traces (hypothesis);
-- every event inside an annotated **run** is a pure hit under that
-  brute force — no fill, no eviction, no clean-to-dirty transition —
-  and the run records' counts are internally consistent;
+- every event inside an annotated **run** is a pure hit under an
+  independently written brute-force set-associative LRU simulation —
+  no fill, no eviction, no clean-to-dirty transition — across fuzzed
+  shapes and synthetic traces (hypothesis), and the run records'
+  counts and end cursors are internally consistent;
 - replay with elimination forced **on** is bit-identical (whole
   ``RunResult``) to replay with it forced **off** over a
-  kernel/configuration grid (set ``REPRO_ELIM_GRID=full`` for the full
+  kernel/configuration grid, including cores with a non-zero branch
+  mispredict cost (set ``REPRO_ELIM_GRID=full`` for the full
   kernel x config x opt-level sweep CI runs);
 - annotation is deferred to the third replay pass over a
   (trace, shape), so one-shot grids never pay for it;
@@ -28,30 +27,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.fastpath import make_run_applier
+from repro.cpu.model import CPUConfig
 from repro.cpu.system import System, SystemConfig, warm_regions_of
 from repro.exec import ExecutionEngine, RunPoint
 from repro.experiments.runner import ExperimentRunner
 from repro.transforms.pipeline import OptLevel, optimize
 from repro.workloads import build_kernel, kernel_names
 from repro.workloads.elim import (
-    DIRTY_TRANSITION,
-    MISS,
-    PURE_HIT,
-    SPANNING,
     annotate_trace,
     counters,
     eliminable_fraction,
     forced,
-    oracle_outcomes,
     runs_for,
 )
 from repro.workloads.encode import (
+    OP_BRANCH,
+    OP_COMPUTE,
     OP_LOAD,
+    OP_MARK,
     OP_STORE,
     encode_events,
     encode_trace,
 )
 from repro.workloads.trace import Load, Store
+
+#: A core that charges loop-exit branches: gap replay must read each
+#: branch's own taken flag, not the one at the last run's end.
+MISPREDICT = CPUConfig(branch_mispredict_cycles=8.0)
 
 CONFIGS = {
     "sram": lambda: SystemConfig(technology="sram", frontend="plain"),
@@ -60,7 +62,22 @@ CONFIGS = {
     "l0": lambda: SystemConfig(technology="stt-mram", frontend="l0"),
     "emshr": lambda: SystemConfig(technology="stt-mram", frontend="emshr"),
     "hybrid": lambda: SystemConfig(technology="stt-mram", frontend="hybrid"),
+    "sram-mispredict": lambda: SystemConfig(
+        technology="sram", frontend="plain", cpu=MISPREDICT
+    ),
+    "dropin-mispredict": lambda: SystemConfig(
+        technology="stt-mram", frontend="plain", cpu=MISPREDICT
+    ),
+    "hybrid-mispredict": lambda: SystemConfig(
+        technology="stt-mram", frontend="hybrid", cpu=MISPREDICT
+    ),
 }
+
+#: Oracle outcome codes of the brute-force reference below.
+MISS = 0
+DIRTY_TRANSITION = 1
+PURE_HIT = 2
+SPANNING = 3
 
 #: ``REPRO_ELIM_GRID=full`` (the CI trace-fastpath job) widens the
 #: identity sweep to the full kernel x config x opt-level grid.
@@ -155,6 +172,12 @@ def _brute_outcomes(trace, shape):
     return bytes(out)
 
 
+def _cursors_at(trace, end):
+    """Operand-column cursors (load, store, compute, branch) at ``end``."""
+    prefix = trace.opcodes[:end]
+    return tuple(prefix.count(op) for op in (OP_LOAD, OP_STORE, OP_COMPUTE, OP_BRANCH))
+
+
 _accesses = st.lists(
     st.tuples(
         st.booleans(),  # store?
@@ -167,7 +190,7 @@ _accesses = st.lists(
 
 
 class TestOracleProperty:
-    """The stack oracle equals brute-force set-associative LRU."""
+    """Annotated runs hold only accesses brute-force LRU calls pure hits."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -176,28 +199,15 @@ class TestOracleProperty:
         sets=st.sampled_from([1, 2, 4, 8]),
         ways=st.sampled_from([1, 2, 4]),
     )
-    def test_oracle_matches_brute_force(self, accesses, line_bytes, sets, ways):
+    def test_annotated_runs_cover_only_pure_hits(
+        self, accesses, line_bytes, sets, ways
+    ):
         events = [
             Store(addr, size) if store else Load(addr, size)
             for store, addr, size in accesses
         ]
         trace = encode_events(events)
-        shape = (line_bytes, sets, ways, 1)
-        assert oracle_outcomes(trace, shape) == _brute_outcomes(trace, shape)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        accesses=_accesses,
-        sets=st.sampled_from([2, 4, 8]),
-        ways=st.sampled_from([1, 2]),
-    )
-    def test_annotated_runs_cover_only_pure_hits(self, accesses, sets, ways):
-        events = [
-            Store(addr, size) if store else Load(addr, size)
-            for store, addr, size in accesses
-        ]
-        trace = encode_events(events)
-        shape = (32, sets, ways, 2)
+        shape = (line_bytes, sets, ways, 2)
         runs = annotate_trace(trace, shape)
         brute = _brute_outcomes(trace, shape)
         # Map trace index -> load/store ordinal.
@@ -212,10 +222,10 @@ class TestOracleProperty:
             for i in range(run.start, run.end):
                 if i in ordinal:
                     assert brute[ordinal[i]] == PURE_HIT, (i, run)
-            n_loads, n_stores, n_computes, _ops, n_taken, n_exit = run.counts
-            assert len(run.packed) == (
-                n_loads + n_stores + n_computes + n_taken + n_exit
-            )
+            span = trace.opcodes[run.start : run.end]
+            assert run.counts == (span.count(OP_LOAD), span.count(OP_STORE))
+            assert len(run.packed) == len(span) - span.count(OP_MARK)
+            assert run.cursors == _cursors_at(trace, run.end)
 
 
 class TestRealTraces:
@@ -237,6 +247,7 @@ class TestRealTraces:
             for i in range(run.start, run.end):
                 if i in ordinal:
                     assert brute[ordinal[i]] == PURE_HIT
+            assert run.cursors == _cursors_at(trace, run.end)
 
     def test_high_locality_kernels_are_mostly_eliminable(self):
         for kernel in ("gemm", "doitgen"):
