@@ -5,17 +5,23 @@ memory event (``frontend.read`` → ``Access.__init__``/``__post_init__``
 → ``Cache.access`` → ``Access.lines`` → ``_access_line`` →
 ``BankTimer.reserve``), and that per-access overhead — not the
 simulation arithmetic — dominates wall-clock time.  This module builds,
-per run, a pair of closures ``(fast_read, fast_write)`` that serve the
-*single-line hit* case of one front-end in a single call frame, binding
-every piece of mutable state (tag lists, dirty bits, bank busy times,
-LRU orders, stat counters) as closure locals.
+per run, a triple of closures ``(fast_read, fast_write, fast_prefetch)``
+that serve the *single-line hit* case of one front-end in a single call
+frame, binding every piece of mutable state (tag lists, dirty bits, bank
+busy times, LRU orders, stat counters) as closure locals.
+``fast_prefetch`` is ``None`` except on the VWB front-end, whose
+software prefetches (a quarter of a FULL-level trace's events) stage
+wide promotions into the fill buffers: the kernel serves useless hints,
+hints dropped on a full file of in-flight promotions, and staged
+promotions of array-resident windows, committing the oldest completed
+staged window into a VWB line first.
 
 The contract, pinned by ``tests/test_encode.py``:
 
 - A kernel either completes an access with **exactly** the state
   mutations and the bit-identical float latency of the generic path, or
   it returns ``None`` having touched **nothing**, and the caller falls
-  back to the ordinary ``frontend.read``/``write`` call.  Misses,
+  back to the ordinary ``frontend.read``/``write``/``prefetch`` call.  Misses,
   multi-line/multi-window accesses, in-flight fills and every rare case
   take the fallback, so there is exactly one implementation of the
   complicated paths.
@@ -38,13 +44,18 @@ from ..core.emshr import EMSHRFrontend
 from ..core.frontend import DCacheFrontend
 from ..core.hybrid import HybridFrontend
 from ..core.l0 import L0Frontend
-from ..core.vwb_frontend import VWBFrontend
-from ..mem.cache import Cache
+from ..core.vwb_frontend import VWBFrontend, _PendingWindow
+from ..mem.cache import Cache, WideReadResult
 from ..workloads.elim import PK_BRANCH, PK_COMPUTE, PK_STORE, book_run
 
 #: A fast kernel: ``(addr, size, now) -> latency`` or ``None`` to fall
 #: back to the generic front-end call (with no state touched).
 FastOp = Callable[[int, int, float], Optional[float]]
+#: A fast prefetch kernel: ``(addr, now) -> stall`` or ``None`` to fall
+#: back to ``frontend.prefetch`` (with no state touched).
+FastPrefetch = Callable[[int, float], Optional[float]]
+#: What :func:`make_fast_ops` returns for an eligible front-end.
+FastOps = Tuple[FastOp, FastOp, Optional[FastPrefetch]]
 
 
 def _array_eligible(cache: Cache) -> bool:
@@ -151,14 +162,18 @@ def _passthrough_ops(cache: Cache, fstats, count_hits: bool) -> Tuple[FastOp, Fa
     return fast_read, fast_write
 
 
-def _vwb_ops(frontend: VWBFrontend) -> Tuple[FastOp, FastOp]:
+def _vwb_ops(frontend: VWBFrontend) -> FastOps:
     """Kernels for the VWB front-end.
 
     Serves wide-line hits, array store misses, and — the expensive
     common case of unprefetched streaming code — the *demand promotion*:
-    a VWB read miss whose victim wide line is clean and whose whole
-    window is resident in the NVM array.  Dirty evictions, staged
-    windows and array misses stay on the generic path.
+    a VWB read miss whose whole window is resident in the NVM array
+    (a dirty victim is written back in place when its lines are all
+    still resident).  The prefetch kernel serves software prefetches:
+    useless hints, hints dropped on a full fill-buffer file, and staged
+    promotions of array-resident windows, committing the oldest
+    completed staged window first.  Array misses and write-backs that
+    would leave the array stay on the generic path.
     """
     vwb = frontend.vwb
     wb = vwb._window_bytes
@@ -186,6 +201,44 @@ def _vwb_ops(frontend: VWBFrontend) -> Tuple[FastOp, FastOp]:
     line_bytes = cfg.line_bytes
     lru_orders = [s._order for s in repl] if cfg.replacement == "lru" else None
     n_window_lines = frontend._lines_per_window
+    fill_buffers = frontend._fill_buffers
+
+    def lru_victim():
+        # `VeryWideBuffer.allocate`'s choice: the first invalid line,
+        # else the least recently touched one (first on ties).
+        victim = None
+        best_key = None
+        for wl in wide_lines:
+            key = (1, wl.last_touch) if wl.window_addr is not None else (0, 0)
+            if best_key is None or key < best_key:
+                victim = wl
+                best_key = key
+        return victim
+
+    def array_resident(window: int) -> bool:
+        for i in range(n_window_lines):
+            wline = window + i * line_bytes
+            if (wline >> idx_shift) not in tags[(wline >> off) & set_mask]:
+                return False
+        return True
+
+    def write_back(old_window: int, now: float) -> None:
+        # `_handle_eviction` of a dirty window whose lines are all still
+        # array-resident: one in-place array write per line, no stall.
+        fstats.buffer_writebacks += 1
+        for i in range(n_window_lines):
+            eline = old_window + i * line_bytes
+            line_no = eline >> off
+            bank = line_no & bank_mask
+            busy_until = busy[bank]
+            if busy_until > now:
+                cstats.bank_wait_cycles += int(busy_until - now)
+                busy[bank] = busy_until + write_cycles
+            else:
+                busy[bank] = now + write_cycles
+            index = line_no & set_mask
+            dirty_bits[index][tags[index].index(eline >> idx_shift)] = True
+            cstats.write_hits += 1
 
     def fast_read(addr: int, size: int, now: float) -> Optional[float]:
         w = addr // wb
@@ -221,20 +274,11 @@ def _vwb_ops(frontend: VWBFrontend) -> Tuple[FastOp, FastOp]:
                 return None  # array miss inside the window: generic
             if wline != critical:
                 ordered.append(wline)
-        victim = None
-        best_key = None
-        for wl in wide_lines:
-            key = (1, wl.last_touch) if wl.window_addr is not None else (0, 0)
-            if best_key is None or key < best_key:
-                victim = wl
-                best_key = key
+        victim = lru_victim()
         old_window = victim.window_addr
         writeback = old_window is not None and victim.dirty
-        if writeback:
-            for i in range(n_window_lines):
-                eline = old_window + i * line_bytes
-                if (eline >> idx_shift) not in tags[(eline >> off) & set_mask]:
-                    return None  # write-back through the write buffer: generic
+        if writeback and not array_resident(old_window):
+            return None  # write-back through the write buffer: generic
         # Commit: allocate the VWB line, write back a dirty victim, then
         # the wide array read with the critical line first (exactly the
         # generic path's order).
@@ -244,20 +288,7 @@ def _vwb_ops(frontend: VWBFrontend) -> Tuple[FastOp, FastOp]:
         vwb._clock += 1
         victim.last_touch = vwb._clock
         if writeback:
-            fstats.buffer_writebacks += 1
-            for i in range(n_window_lines):
-                eline = old_window + i * line_bytes
-                line_no = eline >> off
-                bank = line_no & bank_mask
-                busy_until = busy[bank]
-                if busy_until > now:
-                    cstats.bank_wait_cycles += int(busy_until - now)
-                    busy[bank] = busy_until + write_cycles
-                else:
-                    busy[bank] = now + write_cycles
-                index = line_no & set_mask
-                dirty_bits[index][tags[index].index(eline >> idx_shift)] = True
-                cstats.write_hits += 1
+            write_back(old_window, now)
         ready_max = 0.0
         critical_ready = 0.0
         for wline in ordered:
@@ -314,7 +345,82 @@ def _vwb_ops(frontend: VWBFrontend) -> Tuple[FastOp, FastOp]:
         # generic path issues Access(addr, size) unchanged.
         return array_write(addr, size, now)
 
-    return fast_read, fast_write
+    def fast_prefetch(addr: int, now: float) -> Optional[float]:
+        window = (addr // wb) * wb
+        useless = window in pending
+        if not useless:
+            for line in wide_lines:
+                if line.window_addr == window:
+                    useless = True
+                    break
+        oldest = None
+        if not useless and len(pending) >= fill_buffers:
+            # The file never exceeds `fill_buffers` entries, so
+            # `_stage_promotion` commits at most the oldest one.
+            oldest_window, oldest = next(iter(pending.items()))
+            useless = oldest.result.ready_at > now  # in flight: dropped
+        if useless:
+            fstats.prefetches_issued += 1
+            fstats.prefetches_useless += 1
+            return 0.0
+        # Pre-check before mutating anything: the staged window must be
+        # array-resident, and so must the lines of a dirty VWB victim
+        # displaced by the commit (an in-place write-back, zero stall).
+        if not array_resident(window):
+            return None  # array miss inside the window: generic
+        writeback = False
+        if oldest is not None:
+            # Staged windows are never VWB-resident (a sanitizer
+            # invariant), so `allocate` displaces its usual victim.
+            victim = lru_victim()
+            old_window = victim.window_addr
+            writeback = old_window is not None and victim.dirty
+            if writeback and not array_resident(old_window):
+                return None  # write-back through the write buffer: generic
+        fstats.prefetches_issued += 1
+        if oldest is not None:
+            # `_install`: allocate (one touch), plus a second dirtying
+            # touch when the staged window took stores.
+            del pending[oldest_window]
+            victim.window_addr = oldest_window
+            victim.dirty = oldest.dirty
+            vwb._clock += 2 if oldest.dirty else 1
+            victim.last_touch = vwb._clock
+            if writeback:
+                write_back(old_window, now)
+        # The staged wide read, lines in address order.
+        line_ready = {}
+        ready_max = 0.0
+        for i in range(n_window_lines):
+            wline = window + i * line_bytes
+            line_no = wline >> off
+            bank = line_no & bank_mask
+            busy_until = busy[bank]
+            if busy_until > now:
+                cstats.bank_wait_cycles += int(busy_until - now)
+                finish = busy_until + read_cycles
+            else:
+                finish = now + read_cycles
+            busy[bank] = finish
+            index = line_no & set_mask
+            way = tags[index].index(wline >> idx_shift)
+            if lru_orders is None:
+                repl[index].touch(way)
+            else:
+                order = lru_orders[index]
+                if order[0] != way:
+                    order.remove(way)
+                    order.insert(0, way)
+            cstats.read_hits += 1
+            line_ready[wline] = finish
+            if finish > ready_max:
+                ready_max = finish
+        fstats.promotions += 1
+        fstats.promotion_cycles += int(ready_max - now)
+        pending[window] = _PendingWindow(WideReadResult(now, line_ready))
+        return 0.0
+
+    return fast_read, fast_write, fast_prefetch
 
 
 def _l0_ops(frontend: L0Frontend) -> Tuple[FastOp, FastOp]:
@@ -516,8 +622,8 @@ def _emshr_ops(frontend: EMSHRFrontend) -> Tuple[FastOp, FastOp]:
     return fast_read, fast_write
 
 
-def make_fast_ops(frontend: DCacheFrontend) -> Optional[Tuple[FastOp, FastOp]]:
-    """Build the fast hit kernels for ``frontend``, if it is eligible.
+def make_fast_ops(frontend: DCacheFrontend) -> Optional[FastOps]:
+    """Build the fast kernels for ``frontend``, if it is eligible.
 
     Parameters
     ----------
@@ -526,31 +632,35 @@ def make_fast_ops(frontend: DCacheFrontend) -> Optional[Tuple[FastOp, FastOp]]:
 
     Returns
     -------
-    tuple of (FastOp, FastOp) or None
-        ``(fast_read, fast_write)`` closures, or ``None`` when the
-        front-end type is unknown (or subclassed) or any hit-path hook
-        (probe, fault injector, AWARE writes, line-write tracking,
-        hardware prefetcher) is active — callers then use the generic
-        path for every event.
+    tuple of (FastOp, FastOp, FastPrefetch or None) or None
+        ``(fast_read, fast_write, fast_prefetch)`` closures, or ``None``
+        when the front-end type is unknown (or subclassed) or any
+        hit-path hook (probe, fault injector, AWARE writes, line-write
+        tracking, hardware prefetcher) is active — callers then use the
+        generic path for every event.  ``fast_prefetch`` is ``None``
+        except on :class:`~repro.core.vwb_frontend.VWBFrontend`, where
+        it serves software prefetches into the fill buffers.
     """
     if frontend._probing or not _array_eligible(frontend.backing):
         return None
     kind = type(frontend)
+    if kind is VWBFrontend:
+        return _vwb_ops(frontend)
     if kind is PlainFrontend:
         if frontend.hw_prefetcher is not None:
             return None
-        return _passthrough_ops(frontend.backing, frontend.stats, False)
-    if kind is VWBFrontend:
-        return _vwb_ops(frontend)
-    if kind is L0Frontend:
-        return _l0_ops(frontend)
-    if kind is EMSHRFrontend:
-        return _emshr_ops(frontend)
-    if kind is HybridFrontend:
+        ops = _passthrough_ops(frontend.backing, frontend.stats, False)
+    elif kind is L0Frontend:
+        ops = _l0_ops(frontend)
+    elif kind is EMSHRFrontend:
+        ops = _emshr_ops(frontend)
+    elif kind is HybridFrontend:
         if not _array_eligible(frontend.sram):
             return None
-        return _passthrough_ops(frontend.sram, frontend.stats, True)
-    return None
+        ops = _passthrough_ops(frontend.sram, frontend.stats, True)
+    else:
+        return None
+    return (*ops, None)
 
 
 # --------------------------------------------------------------------------

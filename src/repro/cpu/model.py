@@ -418,9 +418,10 @@ class InOrderCPU:
         The hot loop dispatches on the integer opcode stream with every
         counter bound to a local, a preallocated latency-histogram list
         instead of per-event dict traffic, and the front-end's inlined
-        hit kernels (:func:`~repro.cpu.fastpath.make_fast_ops`) serving
-        the common single-line hits — anything else falls back to the
-        generic ``frontend.read``/``write`` call for that event, so the
+        kernels (:func:`~repro.cpu.fastpath.make_fast_ops`) serving the
+        common single-line hits and, on the VWB, software prefetches —
+        anything else falls back to the generic ``frontend.read``/
+        ``write``/``prefetch`` call for that event, so the
         timing arithmetic is evaluated in the identical order and the
         result is bit-identical (pinned by ``tests/test_encode.py``).
 
@@ -453,7 +454,7 @@ class InOrderCPU:
                 runs = elim_runs_for(trace, applier.shape)
                 apply_run = applier.apply
         fast = make_fast_ops(frontend)
-        fast_read, fast_write = fast if fast is not None else (None, None)
+        fast_read, fast_write, fast_prefetch = fast if fast is not None else (None, None, None)
         frontend_read = frontend.read
         frontend_write = frontend.write
         frontend_prefetch = frontend.prefetch
@@ -545,7 +546,13 @@ class InOrderCPU:
                     cycles += cost
                     b_branch += cost
                 elif op == op_prefetch:
-                    stall = frontend_prefetch(next_pf_addr(), cycles)
+                    addr = next_pf_addr()
+                    if fast_prefetch is not None:
+                        stall = fast_prefetch(addr, cycles)
+                        if stall is None:
+                            stall = frontend_prefetch(addr, cycles)
+                    else:
+                        stall = frontend_prefetch(addr, cycles)
                     cost = pf_issue + stall
                     cycles += cost
                     b_prefetch += cost

@@ -25,6 +25,19 @@ Transformation annotations change the emission:
   ``distance`` iterations ahead, de-duplicated at
   :attr:`TraceConfig.prefetch_block_bytes` granularity so one hint is
   issued per new buffer window, like hand-placed prefetch intrinsics.
+
+Innermost loops are lowered, not interpreted: every subscript is affine
+in the loop variable, so each reference advances by a fixed byte stride
+per iteration and its address at iteration ``v`` is ``base + stride *
+(v - lo)``.  On each loop entry the interpreter evaluates every
+reference once (``ref.addr(env)`` at ``v = lo``) into a plan, then emits
+the loop's events from the plans with integer arithmetic only.  Scalar
+loops (``W = 1``, no prefetches) use ``(base, stride, elem bytes)``
+plans; vector and prefetching loops use ``(base, stride, lanes)``
+plans, whose lanes give each access's byte offset and size within one
+chunk, and prefetch targets are iterations of the same lowering.
+Outer loops and statements outside innermost loops still evaluate
+under the variable environment.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import WorkloadError
+from .affine import Var
 from .ir import Loop, Node, Program, Ref, Statement
 from .trace import (
     IRMark,
@@ -211,12 +225,9 @@ def _run_innermost(
     branch_every = max(1, node.unroll)
 
     if width == 1 and not node.prefetch:
-        # Scalar fast path.  Every subscript is affine in the loop
-        # variable, so each reference advances by a fixed byte stride
-        # per iteration: addr(v) = addr(lo) + stride * (v - lo), exact
-        # integer arithmetic.  Precomputing (base, stride) per reference
-        # replaces the per-iteration env writes and affine evaluation of
-        # the generic loop with one multiply-add per access.
+        # Scalar path: one access per reference per iteration, so a
+        # (base, byte stride, elem bytes) plan per reference turns each
+        # access into one multiply-add: addr(v) = base + stride * (v - lo).
         var, trips = node.var, hi - lo
         plans = [
             (
@@ -243,42 +254,61 @@ def _run_innermost(
         env.pop(node.var.name, None)
         return
 
-    last_prefetch_block: Dict[int, int] = {}
+    # Vector/prefetch path: the same affine lowering, per chunk of W
+    # iterations.  A reference's accesses over one chunk are a fixed
+    # pattern of (byte offset, size) lanes from its address at the
+    # chunk's first iteration `off`, so each plan is (base, byte stride,
+    # lanes), built once per loop entry for the full chunk width and,
+    # when the trip count is not a multiple of W, for the tail chunk.
+    var, trips = node.var, hi - lo
 
-    chunk_index = 0
-    v = lo
-    while v < hi:
-        chunk = min(width, hi - v)
-        env[node.var.name] = v
+    def lowered(refs: List[Ref], chunk: int) -> list:
+        return [(ref.addr(env), ref.stride_bytes(var), _lanes(ref, var, chunk)) for ref in refs]
 
+    def plan(chunk: int) -> list:
+        return [
+            (
+                lowered(reads, chunk),
+                statement.flops + statement.overhead_ops,
+                lowered(writes, chunk),
+            )
+            for statement, reads, writes in per_stmt
+        ]
+
+    full_plans = plan(width)
+    tail_plans = plan(trips % width) if trips % width else full_plans
+    # Prefetch targets are iterations too: addr = base + stride * (t - lo).
+    pf_plans = [(ref.addr(env), ref.stride_bytes(var), dist) for ref, dist in node.prefetch]
+    last_block: List[Optional[int]] = [None] * len(pf_plans)
+    block_bytes = cfg.prefetch_block_bytes
+
+    for chunk_index, off in enumerate(range(0, trips, width), 1):
         # Software prefetches run ahead of the demand stream.  The first
         # iteration also prefetches its *own* data — the paper's "cutting
         # initial delay time to fetch critical data to the VWB" — which
         # keeps the fill-buffer pipeline in phase from the start.
-        for pf_index, (ref, distance) in enumerate(node.prefetch):
-            saved = env[node.var.name]
-            targets = (v, min(v + distance, hi - 1)) if v == lo else (min(v + distance, hi - 1),)
-            for target in targets:
-                env[node.var.name] = target
-                addr = ref.addr(env)
-                block = addr // cfg.prefetch_block_bytes
-                if last_prefetch_block.get(pf_index) != block:
-                    last_prefetch_block[pf_index] = block
+        for pf_index, (base, step, distance) in enumerate(pf_plans):
+            ahead = min(off + distance, trips - 1)
+            for target in ((off, ahead) if off == 0 else (ahead,)):
+                addr = base + step * target
+                block = addr // block_bytes
+                if last_block[pf_index] != block:
+                    last_block[pf_index] = block
                     yield Prefetch(addr)
-            env[node.var.name] = saved
 
-        for statement, reads, writes in per_stmt:
-            for ref in reads:
-                yield from _emit_access(ref, node, env, v, chunk, Load)
-            yield compute_event(statement.flops + statement.overhead_ops)
-            for ref in writes:
-                yield from _emit_access(ref, node, env, v, chunk, Store)
-
-        chunk_index += 1
-        last = v + chunk >= hi
+        last = off + width >= trips
+        for read_plan, ops_count, write_plan in full_plans if not last else tail_plans:
+            for base, step, lanes in read_plan:
+                addr = base + step * off
+                for delta, size in lanes:
+                    yield Load(addr + delta, size)
+            yield compute_event(ops_count)
+            for base, step, lanes in write_plan:
+                addr = base + step * off
+                for delta, size in lanes:
+                    yield Store(addr + delta, size)
         if chunk_index % branch_every == 0 or last:
             yield branch_event(not last)
-        v += chunk
 
     # Hoisted stores execute once, after the loop.
     env[node.var.name] = lo
@@ -287,28 +317,17 @@ def _run_innermost(
     env.pop(node.var.name, None)
 
 
-def _emit_access(
-    ref: Ref, node: Loop, env: Dict[str, int], v: int, chunk: int, factory
-) -> Iterator[TraceEvent]:
-    """Emit the access(es) for one reference over one chunk of iterations.
+def _lanes(ref: Ref, var: Var, chunk: int) -> Tuple[Tuple[int, int], ...]:
+    """``(byte offset, size)`` of each access ``ref`` makes over one chunk.
 
     A chunk of one iteration is the scalar case; wider chunks model SIMD:
-    stride-1 refs become a single wide access, other strides become
-    per-lane accesses (gather/scatter).
+    stride-1 refs become a single wide access, loop-invariant refs one
+    splat access, other strides per-lane accesses (gather/scatter).
     """
     elem = ref.array.elem_bytes
-    if chunk == 1:
-        yield factory(ref.addr(env), elem)
-        return
-    stride = ref.stride_elements(node.var)
-    if stride == 0:
-        yield factory(ref.addr(env), elem)
-        return
+    stride = ref.stride_elements(var)
+    if chunk == 1 or stride == 0:
+        return ((0, elem),)
     if stride == 1:
-        yield factory(ref.addr(env), chunk * elem)
-        return
-    saved = env[node.var.name]
-    for lane in range(chunk):
-        env[node.var.name] = v + lane
-        yield factory(ref.addr(env), elem)
-    env[node.var.name] = saved
+        return ((0, chunk * elem),)
+    return tuple((lane * stride * elem, elem) for lane in range(chunk))

@@ -268,13 +268,13 @@ class TestAudit:
             ops = real(frontend)
             if ops is None:
                 return None
-            fast_read, fast_write = ops
+            fast_read, fast_write, fast_prefetch = ops
 
             def bad_read(addr, size, now):
                 cost = fast_read(addr, size, now)
                 return None if cost is None else cost + 0.5
 
-            return bad_read, fast_write
+            return bad_read, fast_write, fast_prefetch
 
         monkeypatch.setattr(cpu_model, "make_fast_ops", poisoned)
         report = audit_point("gemm", "sram", bisect=False)
@@ -282,6 +282,30 @@ class TestAudit:
         legs = {leg for leg, _, _, _ in report.divergences}
         assert any(leg.startswith("encoded") for leg in legs)
         assert "FAIL" in report.summary()
+
+    def test_audit_detects_injected_prefetch_kernel_divergence(self, monkeypatch):
+        # FULL-level traces carry software prefetches; the VWB serves
+        # them through `fast_prefetch`, so a poisoned stall must show up
+        # as an encoded-leg divergence.
+        real = cpu_model.make_fast_ops
+
+        def poisoned(frontend):
+            ops = real(frontend)
+            if ops is None or ops[2] is None:
+                return ops
+            fast_read, fast_write, fast_prefetch = ops
+
+            def bad_prefetch(addr, now):
+                stall = fast_prefetch(addr, now)
+                return None if stall is None else stall + 1.0
+
+            return fast_read, fast_write, bad_prefetch
+
+        monkeypatch.setattr(cpu_model, "make_fast_ops", poisoned)
+        report = audit_point("gemm", "vwb", level=OptLevel.FULL, bisect=False)
+        assert not report.ok
+        legs = {leg for leg, _, _, _ in report.divergences}
+        assert any(leg.startswith("encoded") for leg in legs)
 
     def test_bisection_finds_the_offending_event(self, monkeypatch):
         # Build a trace where address POISON is loaded twice: a miss
@@ -301,7 +325,7 @@ class TestAudit:
             ops = real(frontend)
             if ops is None:
                 return None
-            fast_read, fast_write = ops
+            fast_read, fast_write, fast_prefetch = ops
 
             def bad_read(addr, size, now):
                 cost = fast_read(addr, size, now)
@@ -311,7 +335,7 @@ class TestAudit:
                     return cost + 10.0
                 return cost
 
-            return bad_read, fast_write
+            return bad_read, fast_write, fast_prefetch
 
         monkeypatch.setattr(cpu_model, "make_fast_ops", poisoned)
         config = CONFIGURATIONS["sram"]

@@ -1,19 +1,32 @@
-"""Interpreter vs a reference interpreter, on random affine programs.
+"""Interpreter vs reference interpreters, on random affine programs.
 
-The reference interpreter is a direct textbook evaluation of the IR —
-no scalar replacement, no chunking, no annotations.  With all
-optimizations disabled, the real interpreter must produce the *exact*
-event sequence of the reference; with them enabled, it must still touch
-the same data.
+Two references:
+
+- a direct textbook evaluation of the IR — no scalar replacement, no
+  chunking, no annotations.  With all optimizations disabled, the real
+  interpreter must produce the *exact* address sequence of the
+  reference; with them enabled, it must still touch the same data;
+- :func:`reference_trace`, the env-driven lowering the interpreter used
+  before its innermost loops were lowered to precomputed affine plans:
+  every access evaluates ``ref.addr(env)`` under the current loop
+  variables.  The real interpreter must emit the *exact* event list of
+  it under every annotation (vector width, unroll, prefetch) and with
+  scalar replacement on or off.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.affine import Var
-from repro.workloads.interp import TraceConfig, materialize_trace
+from repro.workloads.interp import TraceConfig, _split_refs, materialize_trace
 from repro.workloads.ir import Array, Loop, Program, Statement
-from repro.workloads.trace import Load, Store
+from repro.workloads.trace import (
+    Load,
+    Prefetch,
+    Store,
+    branch_event,
+    compute_event,
+)
 
 I, J = Var("i"), Var("j")
 
@@ -52,6 +65,107 @@ def interpreter_addresses(program, config):
             for a in range(ev.addr, ev.addr + ev.size, 4):
                 out.append(("S", a))
     return out
+
+
+def reference_trace(program, cfg):
+    """The env-driven lowering: one ``ref.addr(env)`` per access."""
+    out = []
+
+    def emit_access(ref, node, env, v, chunk, factory):
+        elem = ref.array.elem_bytes
+        if chunk == 1:
+            out.append(factory(ref.addr(env), elem))
+            return
+        stride = ref.stride_elements(node.var)
+        if stride == 0:
+            out.append(factory(ref.addr(env), elem))
+            return
+        if stride == 1:
+            out.append(factory(ref.addr(env), chunk * elem))
+            return
+        saved = env[node.var.name]
+        for lane in range(chunk):
+            env[node.var.name] = v + lane
+            out.append(factory(ref.addr(env), elem))
+        env[node.var.name] = saved
+
+    def run_innermost(node, env):
+        lo = node.lower.evaluate(env)
+        hi = node.upper.evaluate(env)
+        if hi <= lo:
+            return
+        preloads, poststores, per_stmt = _split_refs(node, cfg)
+        env[node.var.name] = lo
+        for ref in preloads:
+            out.append(Load(ref.addr(env), ref.array.elem_bytes))
+        width = max(1, node.vector_width)
+        branch_every = max(1, node.unroll)
+        last_prefetch_block = {}
+        chunk_index = 0
+        v = lo
+        while v < hi:
+            chunk = min(width, hi - v)
+            env[node.var.name] = v
+            for pf_index, (ref, distance) in enumerate(node.prefetch):
+                saved = env[node.var.name]
+                ahead = min(v + distance, hi - 1)
+                for target in (v, ahead) if v == lo else (ahead,):
+                    env[node.var.name] = target
+                    addr = ref.addr(env)
+                    block = addr // cfg.prefetch_block_bytes
+                    if last_prefetch_block.get(pf_index) != block:
+                        last_prefetch_block[pf_index] = block
+                        out.append(Prefetch(addr))
+                env[node.var.name] = saved
+            for statement, reads, writes in per_stmt:
+                for ref in reads:
+                    emit_access(ref, node, env, v, chunk, Load)
+                out.append(compute_event(statement.flops + statement.overhead_ops))
+                for ref in writes:
+                    emit_access(ref, node, env, v, chunk, Store)
+            chunk_index += 1
+            last = v + chunk >= hi
+            if chunk_index % branch_every == 0 or last:
+                out.append(branch_event(not last))
+            v += chunk
+        env[node.var.name] = lo
+        for ref in poststores:
+            out.append(Store(ref.addr(env), ref.array.elem_bytes))
+        env.pop(node.var.name, None)
+
+    def run(node, env):
+        if isinstance(node, Statement):
+            for ref in node.reads:
+                out.append(Load(ref.addr(env), ref.array.elem_bytes))
+            out.append(compute_event(node.flops + node.overhead_ops))
+            for ref in node.writes:
+                out.append(Store(ref.addr(env), ref.array.elem_bytes))
+            return
+        if node.is_innermost:
+            run_innermost(node, env)
+            return
+        lo = node.lower.evaluate(env)
+        hi = node.upper.evaluate(env)
+        branch_every = max(1, node.unroll)
+        for i, v in enumerate(range(lo, hi)):
+            env[node.var.name] = v
+            for child in node.body:
+                run(child, env)
+            if (i + 1) % branch_every == 0 or v == hi - 1:
+                out.append(branch_event(v != hi - 1))
+        env.pop(node.var.name, None)
+
+    for node in program.body:
+        run(node, {})
+    return out
+
+
+def event_keys(events):
+    """Comparable ``(kind, *fields)`` tuples for an event list."""
+    return [
+        (type(ev).__name__,) + tuple(getattr(ev, slot) for slot in type(ev).__slots__)
+        for ev in events
+    ]
 
 
 @st.composite
@@ -129,3 +243,27 @@ class TestAgainstReference:
         for lp in unrolled.loops():
             lp.unroll = unroll
         assert interpreter_addresses(unrolled, TraceConfig()) == plain
+
+
+@st.composite
+def annotated_programs(draw):
+    """Random nests with the transforms' annotations on the inner loop."""
+    prog = draw(programs())
+    outer, inner = prog.loops()
+    inner.vector_width = draw(st.integers(1, 5))
+    inner.unroll = draw(st.integers(1, 4))
+    outer.unroll = draw(st.integers(1, 4))
+    refs = list(inner.statements()[0].refs)
+    inner.prefetch = draw(
+        st.lists(st.tuples(st.sampled_from(refs), st.integers(1, 8)), max_size=2)
+    )
+    return prog
+
+
+class TestAgainstEnvDrivenLowering:
+    @given(annotated_programs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_lowering_emits_the_exact_event_list(self, prog, scalar_replacement):
+        config = TraceConfig(scalar_replacement=scalar_replacement)
+        want = event_keys(reference_trace(prog, config))
+        assert event_keys(materialize_trace(prog, config)) == want
