@@ -134,11 +134,11 @@ def _point_material(
     Reuses the execution engine's per-process memos, so auditing a
     kernel across six configurations builds and encodes its trace once.
     """
-    from ..exec.point import RunPoint, _point_trace, build_point_program
+    from ..exec.point import RunPoint, build_point_program, workload_trace
 
     point = RunPoint(kernel=kernel, config=config, level=level, size=size)
     program = build_point_program(point)
-    trace = _point_trace(point)
+    trace = workload_trace(*point.workload)
     return program, trace, warm_regions_of(program)
 
 

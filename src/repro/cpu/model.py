@@ -153,6 +153,9 @@ class RunResult:
     retired_lines : int
         DL1 line slots retired by graceful degradation during the run
         (0 without fault injection).
+    dl1_line_writes : dict
+        Writes per DL1 line slot (key = ``set * ways + way``); empty
+        unless the system was configured with ``track_line_writes``.
     """
 
     cycles: float
@@ -168,6 +171,7 @@ class RunResult:
     load_latency_histogram: Dict[int, int] = field(default_factory=dict)
     reliability_stats: Dict[str, float] = field(default_factory=dict)
     retired_lines: int = 0
+    dl1_line_writes: Dict[int, int] = field(default_factory=dict)
 
     def load_latency_quantile(self, q: float) -> float:
         """Approximate q-quantile (0..1) of the exposed load latency.

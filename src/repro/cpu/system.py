@@ -274,6 +274,8 @@ class System:
             # `dl1.retired_lines` — on a warm re-run the two differ and
             # the docstring promises "during the run".
             result.retired_lines = int(self.dl1.reliability.stats.retired_lines)
+        if self.dl1.config.track_line_writes:
+            result.dl1_line_writes = self.dl1.line_write_counts
         if probe is not None:
             probe.finish(result)
         return result

@@ -44,7 +44,11 @@ from .point import RunPoint, build_point_program
 #: Version of the on-disk entry schema.  Bumped whenever the entry
 #: layout or the key material changes incompatibly; the version is part
 #: of the hashed material, so old entries are orphaned, never misread.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
+
+#: Integer-keyed ``RunResult`` dicts, stored as pair lists (JSON object
+#: keys are strings).
+_INT_KEYED = ("load_latency_histogram", "dl1_line_writes")
 
 #: Default cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -231,12 +235,12 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
     -------
     dict
         All ``RunResult`` fields; the integer-keyed load-latency
-        histogram is stored as a sorted ``[bucket, count]`` pair list.
+        histogram and DL1 line-write counts are stored as sorted
+        ``[key, count]`` pair lists.
     """
     out = dataclasses.asdict(result)
-    out["load_latency_histogram"] = sorted(
-        [int(k), int(v)] for k, v in result.load_latency_histogram.items()
-    )
+    for name in _INT_KEYED:
+        out[name] = sorted([int(k), int(v)] for k, v in getattr(result, name).items())
     return out
 
 
@@ -256,9 +260,8 @@ def decode_result(data: Dict[str, Any]) -> RunResult:
         bit-identical to fresh runs.
     """
     data = dict(data)
-    data["load_latency_histogram"] = {
-        int(bucket): int(count) for bucket, count in data["load_latency_histogram"]
-    }
+    for name in _INT_KEYED:
+        data[name] = {int(k): int(v) for k, v in data[name]}
     return RunResult(**data)
 
 

@@ -426,12 +426,18 @@ class ExecutionEngine:
 
         Raises
         ------
+        ConfigurationError
+            When a point's configuration is invalid (such a point fails
+            on its first attempt; the first one's message is raised).
         SweepFailure
             When at least one point failed terminally after exhausting
             its retry budget.  Completed points were cached/journaled
             before the raise, so re-running retries only the failures.
         """
         outcome = self.run_points_detailed(points)
+        for failure in outcome.failures:
+            if failure.invalid_input:
+                raise ConfigurationError(failure.message)
         if outcome.failures:
             raise SweepFailure(outcome.failures)
         return [r for r in outcome.results if r is not None]
@@ -670,7 +676,8 @@ class ExecutionEngine:
         self.stats.failed += 1
         self.metrics.count("exec.failed")
         self.failures.append(failure)
-        log.error(failure.describe())
+        if not failure.invalid_input:  # run_points re-raises those verbatim
+            log.error(failure.describe())
         tele = self.telemetry
         if tele.enabled:
             self._record_point(
@@ -772,7 +779,7 @@ class ExecutionEngine:
                         os.getpid(),
                     )
                     self._on_attempt_failed(task, "error")
-                    if task.attempts > self.policy.max_retries:
+                    if task.attempts > self.policy.max_retries or task.invalid_input:
                         self._fail(task.failure("error"), entry, span_id)
                         break
                     self._on_retry(task, "error")
@@ -865,13 +872,13 @@ def make_engine(
     fail_fast: bool = False,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Optional[ExecutionEngine]:
-    """Build an engine from CLI-style options, or ``None`` for the
-    classic serial path.
+    """Build an engine from CLI-style options, or ``None`` for plain runs.
 
-    The engine engages when parallelism, caching, telemetry or a
-    resilience bound was requested: plain ``repro fig1`` keeps the
-    historical in-process behaviour with no side effects on the
-    filesystem.
+    A configured engine is built when parallelism, caching, telemetry
+    or a resilience bound was requested.  For plain ``repro fig1`` this
+    returns ``None`` and :class:`~repro.experiments.runner.
+    ExperimentRunner` runs its points on its own serial engine with no
+    cache, journal or progress output — no filesystem side effects.
 
     Parameters
     ----------

@@ -1,17 +1,18 @@
 """Simulation points: the unit of work the execution engine schedules.
 
 A :class:`RunPoint` is one fully-specified, independent simulation —
-``(kernel, system configuration, optimization level, dataset size)``,
-with any fault-injection seed carried inside the configuration's
-:class:`~repro.reliability.faults.ReliabilityConfig`.  Points are plain
-frozen dataclasses so they pickle cheaply across worker-process
-boundaries, and :func:`execute_point` is a module-level function so the
-:mod:`concurrent.futures` machinery can address it by name.
+``(kernel, system configuration, optimization level, dataset size,
+extra passes)``, with any fault-injection seed carried inside the
+configuration's :class:`~repro.reliability.faults.ReliabilityConfig`.
+Points are plain frozen dataclasses so they pickle cheaply across
+worker-process boundaries, and :func:`execute_point` is a module-level
+function so the :mod:`concurrent.futures` machinery can address it by
+name.
 
-:func:`execute_point` reproduces *exactly* the recipe
-:meth:`repro.experiments.runner.ExperimentRunner.run` uses — build the
-kernel at the requested size, optimize, encode the trace, warm the
-L2 with the program's arrays, simulate — so a point executed in a worker
+Every simulation of the experiment layer is a point:
+:class:`~repro.experiments.runner.ExperimentRunner` hands each one to
+an :class:`~repro.exec.engine.ExecutionEngine` (sanitized runs replay
+the same point material in-process), so a point executed in a worker
 process is bit-identical to the same point executed inline (pinned by
 ``tests/test_exec.py``).
 """
@@ -23,21 +24,25 @@ from typing import Dict, Tuple
 
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
+from ..transforms.base import Transform, apply_all
 from ..transforms.pipeline import OptLevel, optimize
 from ..workloads import build_kernel
 from ..workloads.datasets import DatasetSize
 from ..workloads.encode import EncodedTrace, encode_trace
 
+#: A point's workload: ``(kernel, size, level, passes)``.
+Workload = Tuple[str, DatasetSize, OptLevel, Tuple[Transform, ...]]
+
 #: Per-process memo of built programs and encoded traces, keyed by
-#: ``(kernel, size, level)``.  A worker that executes several points of
-#: the same kernel (one per configuration, the common batch shape)
-#: encodes the trace once; sharing is safe because ``System.run`` never
-#: mutates events and ``optimize`` clones before annotating — exactly
-#: the sharing ``ExperimentRunner`` does on the serial path.  The
-#: columnar form keeps the per-process footprint small under large
-#: ``--jobs`` fan-outs (every worker holds its own memo).
-_PROGRAMS: Dict[Tuple[str, DatasetSize, OptLevel], object] = {}
-_TRACES: Dict[Tuple[str, DatasetSize, OptLevel], EncodedTrace] = {}
+#: :data:`Workload`.  A process that executes several points of the
+#: same kernel (one per configuration, the common batch shape) encodes
+#: the trace once; sharing is safe because ``System.run`` never mutates
+#: events and every transform clones before annotating.  Transforms
+#: compare by value, so equal pass lists share one entry.  The columnar
+#: form keeps the per-process footprint small under large ``--jobs``
+#: fan-outs (every worker holds its own memo).
+_PROGRAMS: Dict[Workload, object] = {}
+_TRACES: Dict[Workload, EncodedTrace] = {}
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,9 @@ class RunPoint:
         Code optimization level applied before tracing.
     size : DatasetSize
         Dataset size class of the kernel.
+    passes : tuple of Transform
+        Extra IR passes applied after ``level`` — a program variant
+        such as a prefetch look-ahead or loop interchange (default none).
     label : str
         Display name for progress reporting and probe events (defaults
         to ``kernel/frontend/level``).
@@ -65,7 +73,13 @@ class RunPoint:
     config: SystemConfig
     level: OptLevel = OptLevel.NONE
     size: DatasetSize = DatasetSize.MINI
+    passes: Tuple[Transform, ...] = ()
     label: str = field(default="", compare=False)
+
+    @property
+    def workload(self) -> Workload:
+        """The memo key of the program and trace this point simulates."""
+        return (self.kernel, self.size, self.level, self.passes)
 
     def display(self) -> str:
         """Progress label — ``label`` or ``kernel/frontend/level``.
@@ -80,45 +94,54 @@ class RunPoint:
         return f"{self.kernel}/{self.config.frontend}/{self.level.name}"
 
 
-def build_point_program(point: RunPoint):
-    """Build (and optimize) the IR program a point simulates.
-
-    Parameters
-    ----------
-    point : RunPoint
-        The simulation point.
+def workload_program(
+    kernel: str,
+    size: DatasetSize,
+    level: OptLevel = OptLevel.NONE,
+    passes: Tuple[Transform, ...] = (),
+):
+    """The kernel at ``size`` with ``level`` then ``passes`` applied, memoised.
 
     Returns
     -------
     repro.workloads.ir.Program
-        The kernel at ``point.size`` with ``point.level`` transforms
-        applied — the exact program :func:`execute_point` traces, and
-        the IR the cache key fingerprints.
+        The exact program :func:`execute_point` traces, and the IR the
+        cache key fingerprints.
     """
-    key = (point.kernel, point.size, point.level)
+    key = (kernel, size, level, passes)
     if key not in _PROGRAMS:
-        program = build_kernel(point.kernel, point.size)
-        if point.level is not OptLevel.NONE:
-            program = optimize(program, point.level)
-        _PROGRAMS[key] = program
+        program = build_kernel(kernel, size)
+        if level is not OptLevel.NONE:
+            program = optimize(program, level)
+        _PROGRAMS[key] = apply_all(program, passes)
     return _PROGRAMS[key]
 
 
-def _point_trace(point: RunPoint) -> EncodedTrace:
-    """The encoded trace for a point, memoised per process."""
-    key = (point.kernel, point.size, point.level)
+def workload_trace(
+    kernel: str,
+    size: DatasetSize,
+    level: OptLevel = OptLevel.NONE,
+    passes: Tuple[Transform, ...] = (),
+) -> EncodedTrace:
+    """The encoded trace of :func:`workload_program`, memoised."""
+    key = (kernel, size, level, passes)
     if key not in _TRACES:
-        _TRACES[key] = encode_trace(build_point_program(point))
+        _TRACES[key] = encode_trace(workload_program(*key))
     return _TRACES[key]
+
+
+def build_point_program(point: RunPoint):
+    """The program a point simulates (see :func:`workload_program`)."""
+    return workload_program(*point.workload)
 
 
 def execute_point(point: RunPoint) -> RunResult:
     """Simulate one point from scratch (worker-process entry point).
 
-    Mirrors ``ExperimentRunner.run`` step for step: the L2 is pre-warmed
-    with the program's arrays (PolyBench initialisation) and the DL1
-    starts cold.  The function rebuilds all state locally, so it is safe
-    to call concurrently from any number of processes.
+    The L2 is pre-warmed with the program's arrays (PolyBench
+    initialisation) and the DL1 starts cold.  The function rebuilds all
+    state locally, so it is safe to call concurrently from any number
+    of processes.
 
     Parameters
     ----------
@@ -128,11 +151,8 @@ def execute_point(point: RunPoint) -> RunResult:
     Returns
     -------
     RunResult
-        The timing result, bit-identical to an inline
-        ``ExperimentRunner.run`` of the same point.
+        The timing result, bit-identical wherever the point executes.
     """
-    program = build_point_program(point)
-    trace = _point_trace(point)
-    system = System(point.config)
-    return system.run(trace, warm_regions=warm_regions_of(program))
-
+    trace = workload_trace(*point.workload)
+    regions = warm_regions_of(build_point_program(point))
+    return System(point.config).run(trace, warm_regions=regions)

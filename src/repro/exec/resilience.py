@@ -54,6 +54,7 @@ from multiprocessing import connection, get_context
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..cpu.model import RunResult
+from ..errors import ConfigurationError
 from ..workloads.ir import Loop
 from .cache import decode_result, encode_result
 from .point import RunPoint, build_point_program, execute_point
@@ -134,6 +135,11 @@ class PointFailure:
         what = f"{self.exception}: {self.message}" if self.exception else self.message
         return f"{self.label}: {self.kind} after {self.attempts} attempt(s) — {what}"
 
+    @property
+    def invalid_input(self) -> bool:
+        """The point raised :class:`~repro.errors.ConfigurationError`."""
+        return self.exception == ConfigurationError.__name__
+
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form for the run manifest's ``failures`` list.
 
@@ -164,6 +170,7 @@ class RetryPolicy:
     max_retries : int
         Re-dispatches allowed after the first attempt (so a point runs
         at most ``max_retries + 1`` times before it is declared failed).
+        A point raising ``ConfigurationError`` is never retried.
     timeout : float, optional
         Base per-point wall-clock budget in seconds (``None`` disables
         timeouts).  The effective budget of a heavy point is scaled up
@@ -532,6 +539,11 @@ class Task:
     crashes: int = 0
     not_before: float = 0.0
     last_error: Tuple[str, str, str, str, int] = ("", "", "", "", 0)
+
+    @property
+    def invalid_input(self) -> bool:
+        """The last attempt raised ``ConfigurationError``: retrying cannot help."""
+        return self.last_error[1] == ConfigurationError.__name__
 
     def failure(self, kind: str) -> PointFailure:
         """Terminal :class:`PointFailure` for this task.
@@ -941,7 +953,8 @@ class Supervisor:
         """Apply the retry policy to one failed attempt."""
         self.hooks.attempt_failed(task, kind)
         quarantine_bound = kind == "crash" and task.crashes >= self.policy.quarantine_after
-        if task.attempts > self.policy.max_retries and not quarantine_bound:
+        exhausted = task.attempts > self.policy.max_retries or task.invalid_input
+        if exhausted and not quarantine_bound:
             failures.append(task.failure(kind))
             self.hooks.failed(failures[-1])
             return

@@ -4,14 +4,14 @@ Every experiment exposes ``run(runner=None, **options) -> FigureResult``
 and is registered in :data:`EXPERIMENTS` for the CLI
 (``python -m repro <name>``) and the benchmark suite.
 
-The shared :class:`~repro.experiments.runner.ExperimentRunner` caches
-kernel traces across experiments so regenerating the full evaluation
-costs one trace generation per (kernel, optimization level).
-Constructed with a :class:`~repro.exec.engine.ExecutionEngine`, the
-runner additionally fans each figure's independent points across
-worker processes and replays unchanged points from the engine's
-content-addressed run cache (``python -m repro all --jobs 4``) —
-results are bit-identical to the serial path either way.
+The shared :class:`~repro.experiments.runner.ExperimentRunner` hands
+every simulation to an :class:`~repro.exec.engine.ExecutionEngine` as
+a :class:`~repro.exec.point.RunPoint`; traces are memoised per process,
+so regenerating the full evaluation costs one trace generation per
+(kernel, optimization level).  A parallel engine fans each figure's
+independent points across worker processes and replays unchanged
+points from its content-addressed run cache (``python -m repro all
+--jobs 4``) — results are bit-identical to the serial path either way.
 """
 
 from .runner import ExperimentRunner, CONFIGURATIONS, make_system

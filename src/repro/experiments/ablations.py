@@ -16,12 +16,9 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..transforms.branchopt import BranchOptimize
-from ..transforms.base import apply_all
 from ..transforms.prefetch import InsertPrefetch
 from ..transforms.vectorize import Vectorize
-from ..cpu.system import System, warm_regions_of
 from ..transforms.pipeline import OptLevel
-from ..workloads import materialize_trace
 from ..workloads.datasets import DatasetSize
 from .report import FigureResult
 from .runner import CONFIGURATIONS, ExperimentRunner
@@ -93,25 +90,22 @@ def run_prefetch_distance_sweep(
     runner: Optional[ExperimentRunner] = None,
     ahead_bytes: Sequence[int] = (32, 64, 128, 256),
 ) -> FigureResult:
-    """How far ahead must software prefetch run?"""
+    """How far ahead must software prefetch run?
+
+    Each look-ahead is a variant of the untransformed kernel (the full
+    pipeline with that prefetch distance), against the FULL SRAM baseline.
+    """
     runner = runner or ExperimentRunner()
-    system_template = CONFIGURATIONS["vwb"]
     series = {}
     for ahead in ahead_bytes:
-        penalties = []
-        for kernel in runner.kernels:
-            base_prog = runner.program(kernel, OptLevel.NONE)
-            transformed = apply_all(
-                base_prog,
-                [InsertPrefetch(ahead_bytes=ahead), Vectorize(), BranchOptimize()],
-            )
-            trace = materialize_trace(transformed)
-            regions = warm_regions_of(transformed)
-            system = System(system_template)
-            result = system.run(trace, warm_regions=regions)
-            baseline = runner.run("sram", kernel, OptLevel.FULL)
-            penalties.append(result.penalty_vs(baseline))
-        series[f"ahead_{ahead}B"] = penalties
+        passes = (InsertPrefetch(ahead_bytes=ahead), Vectorize(), BranchOptimize())
+        series[f"ahead_{ahead}B"] = runner.penalties(
+            CONFIGURATIONS["vwb"],
+            OptLevel.NONE,
+            baseline_level=OptLevel.FULL,
+            cache_key=f"vwb+ahead{ahead}B",
+            passes=passes,
+        )
     avgs = {k: sum(v) / len(v) for k, v in series.items()}
     return FigureResult(
         name="ablation-prefetch",
@@ -163,11 +157,12 @@ def run_dataset_sweep(
     Uses a kernel subset by default: the SMALL datasets multiply trip
     counts by up to 8x and this ablation exists to check the *trend*.
     """
+    runner = runner or ExperimentRunner()
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "mvt", "2mm"]
     series = {}
     labels = base_kernels
     for size in sizes:
-        sized_runner = ExperimentRunner(size=size, kernels=base_kernels)
+        sized_runner = runner.scoped(kernels=base_kernels, size=size)
         series[size.name.lower()] = sized_runner.penalties("vwb", OptLevel.FULL)
     avgs = {k: sum(v) / len(v) for k, v in series.items()}
     return FigureResult(
@@ -302,7 +297,7 @@ def run_nvm_icache(
     from ..cpu.model import CPUConfig
 
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "trmm"]
-    scoped = ExperimentRunner(size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels)
+    scoped = (runner or ExperimentRunner()).scoped(kernels=base_kernels)
     cpu = CPUConfig(model_ifetch=True)
     sram_il1 = replace(CONFIGURATIONS["sram"], cpu=cpu)
     nvm_il1 = replace(CONFIGURATIONS["sram"], cpu=cpu, il1_technology="stt-mram")
@@ -372,19 +367,11 @@ def run_interchange_study(
     from ..transforms.interchange import Interchange
 
     base_kernels = list(kernels) if kernels else ["gemm", "syrk", "syr2k"]
-    scoped = ExperimentRunner(
-        size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels
+    scoped = (runner or ExperimentRunner()).scoped(kernels=base_kernels)
+    without = scoped.penalties("vwb", OptLevel.FULL)
+    with_ic = scoped.penalties(
+        CONFIGURATIONS["vwb"], OptLevel.FULL, cache_key="vwb+interchange", passes=(Interchange(),)
     )
-    without = []
-    with_ic = []
-    for kernel in base_kernels:
-        baseline = scoped.run("sram", kernel, OptLevel.FULL)
-        without.append(scoped.run("vwb", kernel, OptLevel.FULL).penalty_vs(baseline))
-        program = Interchange().apply(scoped.program(kernel, OptLevel.FULL))
-        trace = materialize_trace(program)
-        system = System(CONFIGURATIONS["vwb"])
-        result = system.run(trace, warm_regions=warm_regions_of(program))
-        with_ic.append(result.penalty_vs(baseline))
     return FigureResult(
         name="ablation-interchange",
         title="Adding loop interchange to the transformation pipeline",
@@ -411,9 +398,7 @@ def run_dram_model_study(
     from ..mem.hierarchy import HierarchyConfig
 
     base_kernels = list(kernels) if kernels else ["gemm", "atax", "2mm"]
-    scoped = ExperimentRunner(
-        size=(runner.size if runner else DatasetSize.MINI), kernels=base_kernels
-    )
+    scoped = (runner or ExperimentRunner()).scoped(kernels=base_kernels)
     banked = HierarchyConfig(memory_model="banked")
     banked_sram = replace(CONFIGURATIONS["sram"], hierarchy=banked)
 

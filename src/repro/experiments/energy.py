@@ -21,9 +21,8 @@ from ..tech.endurance import EnduranceModel
 from ..tech.energy import EnergyLedger
 from ..tech.params import RERAM_32NM, PRAM_32NM, SRAM_32NM_HP, STT_MRAM_32NM
 from ..cpu.model import RunResult
-from ..cpu.system import System, SystemConfig, warm_regions_of
+from ..cpu.system import SystemConfig
 from ..transforms.pipeline import OptLevel
-from ..workloads import materialize_trace
 from .report import FigureResult
 from .runner import CONFIGURATIONS, ExperimentRunner
 
@@ -85,15 +84,12 @@ def run_endurance(
     technologies = (STT_MRAM_32NM, RERAM_32NM, PRAM_32NM)
     series = {tech.name: [] for tech in technologies}
     config = SystemConfig(technology="stt-mram", frontend="vwb", track_line_writes=True)
+    runner.prefetch([(config, k, level, "vwb+line-writes") for k in runner.kernels])
     for kernel in runner.kernels:
-        program = runner.program(kernel, level)
-        trace = materialize_trace(program)
-        system = System(config)
-        result = system.run(trace, warm_regions=warm_regions_of(program))
-        writes = system.dl1.line_write_counts
+        result = runner.run(config, kernel, level, cache_key="vwb+line-writes")
         elapsed_s = result.cycles * 1e-9  # 1 GHz
         for tech in technologies:
-            estimate = EnduranceModel(tech).estimate(writes, elapsed_s)
+            estimate = EnduranceModel(tech).estimate(result.dl1_line_writes, elapsed_s)
             years = estimate.lifetime_years_worst
             series[tech.name].append(min(years, 1e6))
     return FigureResult(

@@ -38,8 +38,8 @@ def run(runner: Optional[ExperimentRunner] = None, level: OptLevel = OptLevel.NO
         One series per NVM configuration, one row per kernel.
     """
     runner = runner or ExperimentRunner()
-    # Hand the whole grid to the engine up front (one fan-out instead
-    # of per-config pairs); without an engine this is a no-op.
+    # Hand the whole grid to the engine up front: one fan-out instead
+    # of per-config pairs.
     runner.prefetch(
         [(name, k, level) for name in NVM_CONFIGS for k in runner.kernels]
         + [("sram", k, level) for k in runner.kernels]

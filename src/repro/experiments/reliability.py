@@ -42,8 +42,8 @@ def run(
     Parameters
     ----------
     runner : ExperimentRunner, optional
-        Shared experiment runner (a fresh one by default); an attached
-        execution engine fans the whole rber grid out in parallel.
+        Shared experiment runner (a fresh one by default); a parallel
+        execution engine fans the whole rber grid out at once.
     kernel : str
         Kernel to sweep.
     rates : sequence of float

@@ -1,17 +1,19 @@
 """Shared machinery for running kernels across platform configurations.
 
 The paper's evaluation grid is (kernel) x (D-cache organisation) x
-(optimization level).  :class:`ExperimentRunner` materialises each
-kernel/level trace once, warms the L2 with the kernel's arrays (the
-paper's gem5 runs execute PolyBench's initialisation before the measured
-kernel), and caches results keyed by configuration so the figures share
-baseline runs.
+(optimization level).  Every simulation :class:`ExperimentRunner`
+performs is a :class:`~repro.exec.point.RunPoint` handed to its
+:class:`~repro.exec.engine.ExecutionEngine`, which builds and encodes
+each kernel trace once per process, warms the L2 with the kernel's
+arrays (the paper's gem5 runs execute PolyBench's initialisation before
+the measured kernel) and simulates; the runner memoises results so the
+figures share baseline runs.
 
-When constructed with an :class:`~repro.exec.engine.ExecutionEngine`,
-the runner fans independent points of a figure or sweep out across
-worker processes and replays unchanged points from the engine's
-content-addressed run cache; results are bit-identical to the serial
-path (see :mod:`repro.exec`).
+A plain runner's engine is serial with no cache and no journal; the
+CLI's ``--jobs``/``--cache-dir``/``--telemetry`` flags swap in an
+engine that fans independent points out across worker processes and
+replays unchanged points from its content-addressed run cache.  Results
+are bit-identical either way (see :mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -22,10 +24,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
 from ..errors import ConfigurationError
+from ..exec.cache import cache_key_of
+from ..exec.engine import ExecutionEngine
+from ..exec.point import RunPoint, build_point_program, workload_program, workload_trace
 from ..obs import ProfileResult, RecordingProbe
 from ..reliability.faults import ReliabilityConfig
-from ..transforms.pipeline import OptLevel, optimize
-from ..workloads import build_kernel, kernel_names
+from ..transforms.base import Transform
+from ..transforms.pipeline import OptLevel
+from ..workloads import build_kernel, kernel_names  # noqa: F401 - benchmarks/perf wraps build_kernel
 from ..workloads.datasets import DatasetSize
 from ..workloads.encode import EncodedTrace, encode_trace
 from ..workloads.interp import TraceConfig
@@ -129,7 +135,7 @@ def make_system(name_or_config: Union[str, SystemConfig]) -> System:
 
 
 class ExperimentRunner:
-    """Caches traces and run results across the experiment suite.
+    """Runs and memoises the simulation points of the experiment suite.
 
     Parameters
     ----------
@@ -140,17 +146,18 @@ class ExperimentRunner:
         Kernel subset to evaluate (default: the full 12-kernel
         registry, in figure order).
     engine : repro.exec.ExecutionEngine, optional
-        Parallel/cached execution engine.  ``None`` (the default) keeps
-        the classic in-process serial path; with an engine, whole-figure
-        batches run with up to ``engine.jobs``-way parallelism and
-        unchanged points replay from the engine's run cache.  Results
-        are bit-identical either way.
+        The engine every point runs through.  ``None`` (the default)
+        builds a serial one with no cache, journal or progress output;
+        a parallel/cached engine runs whole-figure batches with up to
+        ``engine.jobs``-way parallelism and replays unchanged points
+        from its run cache.  Results are bit-identical either way.
     check : bool
         Run every point under the invariant sanitizer
-        (:class:`repro.check.Sanitizer`).  Forces the in-process serial
-        path — a sanitized run must observe the live structures, so the
-        engine's worker processes and run cache are bypassed — and
-        raises :class:`~repro.errors.InvariantViolation` at the first
+        (:class:`repro.check.Sanitizer`).  Sanitized points execute
+        in-process from the same point material — a sanitized run must
+        observe the live structures, so the engine's worker processes
+        and run cache are bypassed — and raise
+        :class:`~repro.errors.InvariantViolation` at the first
         corrupted event.  Results are bit-identical to unchecked runs.
     check_stride : int
         Invariant-check stride for sanitized runs (check after every
@@ -161,26 +168,49 @@ class ExperimentRunner:
         self,
         size: DatasetSize = DatasetSize.MINI,
         kernels: Optional[List[str]] = None,
-        engine: Optional["ExecutionEngine"] = None,
+        engine: Optional[ExecutionEngine] = None,
         check: bool = False,
         check_stride: int = 997,
     ) -> None:
         self.size = size
         self.kernels = list(kernels) if kernels is not None else kernel_names()
-        self.engine = engine
+        self.engine = engine if engine is not None else ExecutionEngine()
         self.check = bool(check)
         self.check_stride = check_stride
-        self._programs: Dict[Tuple[str, OptLevel], object] = {}
-        self._traces: Dict[Tuple[str, OptLevel], EncodedTrace] = {}
-        self._annotated_traces: Dict[Tuple[str, OptLevel], EncodedTrace] = {}
         self._results: Dict[Tuple, RunResult] = {}
+
+    def scoped(
+        self, kernels: Optional[Sequence[str]] = None, size: Optional[DatasetSize] = None
+    ) -> "ExperimentRunner":
+        """A runner over other kernels/size sharing this one's engine and checks.
+
+        Parameters
+        ----------
+        kernels : sequence of str, optional
+            Kernel subset (default: this runner's).
+        size : DatasetSize, optional
+            Dataset size class (default: this runner's).
+
+        Returns
+        -------
+        ExperimentRunner
+            A runner with its own result memo, on this runner's engine
+            with the same ``check``/``check_stride``.
+        """
+        return ExperimentRunner(
+            size=self.size if size is None else size,
+            kernels=self.kernels if kernels is None else list(kernels),
+            engine=self.engine,
+            check=self.check,
+            check_stride=self.check_stride,
+        )
 
     # ------------------------------------------------------------------
     # Workload material
     # ------------------------------------------------------------------
 
     def program(self, kernel: str, level: OptLevel = OptLevel.NONE):
-        """The (possibly transformed) program for a kernel, cached.
+        """The (possibly transformed) program for a kernel, memoised.
 
         Parameters
         ----------
@@ -192,20 +222,13 @@ class ExperimentRunner:
         Returns
         -------
         repro.workloads.ir.Program
-            The kernel IR after the level's transformation passes.
+            The kernel IR after the level's transformation passes (the
+            process-wide point memo's entry).
         """
-        key = (kernel, level)
-        if key not in self._programs:
-            base = build_kernel(kernel, self.size)
-            self._programs[key] = optimize(base, level) if level is not OptLevel.NONE else base
-        return self._programs[key]
+        return workload_program(kernel, self.size, level)
 
     def trace(self, kernel: str, level: OptLevel = OptLevel.NONE) -> EncodedTrace:
-        """The encoded event trace for a kernel/level, cached.
-
-        Stored in the columnar :class:`~repro.workloads.encode.EncodedTrace`
-        form, which ``System.run`` replays through the opcode fast path —
-        bit-identical to the object stream, at a fraction of the memory.
+        """The encoded event trace for a kernel/level, memoised.
 
         Parameters
         ----------
@@ -217,55 +240,14 @@ class ExperimentRunner:
         Returns
         -------
         EncodedTrace
-            The architectural event stream in columnar form.
+            The architectural event stream in columnar form (the
+            process-wide point memo's entry).
         """
-        key = (kernel, level)
-        if key not in self._traces:
-            self._traces[key] = encode_trace(self.program(kernel, level))
-        return self._traces[key]
-
-    def annotated_trace(self, kernel: str, level: OptLevel = OptLevel.NONE) -> EncodedTrace:
-        """Trace with zero-cost IR loop marks, for profiling runs.
-
-        Cached separately from :meth:`trace` so figure runs keep using
-        the mark-free traces.
-
-        Parameters
-        ----------
-        kernel : str
-            Kernel name.
-        level : OptLevel
-            Optimization level of the traced code.
-
-        Returns
-        -------
-        EncodedTrace
-            The event stream with ``IRMark`` region annotations.
-        """
-        key = (kernel, level)
-        if key not in self._annotated_traces:
-            self._annotated_traces[key] = encode_trace(
-                self.program(kernel, level), TraceConfig(annotate_ir=True)
-            )
-        return self._annotated_traces[key]
+        return workload_trace(kernel, self.size, level)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def _memo_key(
-        self,
-        config: Union[str, SystemConfig],
-        kernel: str,
-        level: OptLevel,
-        cache_key: Optional[str],
-    ) -> Optional[Tuple]:
-        """In-memory result key for a run request (``None``: don't memoise)."""
-        if isinstance(config, str):
-            return (resolve_config_name(config), kernel, level, self.size)
-        if cache_key is not None:
-            return (cache_key, kernel, level, self.size)
-        return None
 
     def _point(
         self,
@@ -273,21 +255,28 @@ class ExperimentRunner:
         kernel: str,
         level: OptLevel,
         cache_key: Optional[str] = None,
-    ) -> "RunPoint":
-        """Build the :class:`~repro.exec.point.RunPoint` for a run request."""
-        from ..exec.point import RunPoint
+        passes: Sequence[Transform] = (),
+    ) -> Tuple[Tuple, RunPoint]:
+        """The result-memo key and :class:`RunPoint` of a run request.
 
+        Named configs memoise by name, ad hoc ones by ``cache_key`` or,
+        without one, by the point's content-addressed key.
+        """
         if isinstance(config, str):
             label = resolve_config_name(config)
         else:
             label = cache_key or config.frontend
-        return RunPoint(
+        point = RunPoint(
             kernel=kernel,
             config=resolve_config(config),
             level=level,
             size=self.size,
+            passes=tuple(passes),
             label=f"{kernel}/{label}/{level.name}",
         )
+        if isinstance(config, str) or cache_key is not None:
+            return (label, kernel, level, self.size, point.passes), point
+        return ("exec", cache_key_of(point)), point
 
     def run(
         self,
@@ -295,6 +284,7 @@ class ExperimentRunner:
         kernel: str,
         level: OptLevel = OptLevel.NONE,
         cache_key: Optional[str] = None,
+        passes: Sequence[Transform] = (),
     ) -> RunResult:
         """Run one kernel/level on one configuration (L2 pre-warmed).
 
@@ -308,99 +298,62 @@ class ExperimentRunner:
         level : OptLevel
             Optimization level of the code.
         cache_key : str, optional
-            Override for the result-memo key when passing ad hoc
-            :class:`SystemConfig` objects (named configs memoise
-            automatically; unnamed ones by this key, by content when an
-            engine is attached, or not at all).
+            Result-memo key and progress label for ad hoc
+            :class:`SystemConfig` objects (named configs memoise by
+            name; unnamed ones without a key memoise by content).
+        passes : sequence of Transform
+            Extra IR passes applied after ``level`` (a program variant,
+            see :class:`~repro.exec.point.RunPoint`).
 
         Returns
         -------
         RunResult
             The timing result (shared across repeat requests).
         """
-        key = self._memo_key(config, kernel, level, cache_key)
-        if key is not None and key in self._results:
-            return self._results[key]
-        if self.check:
-            # Sanitized runs execute in-process: the checker hooks the
-            # live CPU event loop, which worker processes and the run
-            # cache cannot observe.  Imported lazily to keep the
-            # check package optional on the hot import path.
-            from ..check.sanitizer import Sanitizer
+        key, point = self._point(config, kernel, level, cache_key, passes)
+        if key not in self._results:
+            if self.check:
+                # Sanitized runs execute in-process: the checker hooks
+                # the live CPU event loop, which worker processes and
+                # the run cache cannot observe.  Imported lazily to keep
+                # the check package optional on the hot import path.
+                from ..check.sanitizer import Sanitizer
 
-            system = make_system(config)
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            sanitizer = Sanitizer(system, stride=self.check_stride)
-            result = sanitizer.run(trace, warm_regions=regions)
-        elif self.engine is not None:
-            from ..exec.cache import cache_key_of
+                trace = workload_trace(*point.workload)
+                regions = warm_regions_of(build_point_program(point))
+                sanitizer = Sanitizer(System(point.config), stride=self.check_stride)
+                self._results[key] = sanitizer.run(trace, warm_regions=regions)
+            else:
+                self._results[key] = self.engine.run_points([point])[0]
+        return self._results[key]
 
-            point = self._point(config, kernel, level, cache_key)
-            if key is None:
-                key = ("exec", cache_key_of(point))
-                if key in self._results:
-                    return self._results[key]
-            result = self.engine.run_points([point])[0]
-        else:
-            system = make_system(config)
-            trace = self.trace(kernel, level)
-            regions = warm_regions_of(self.program(kernel, level))
-            result = system.run(trace, warm_regions=regions)
-        if key is not None:
-            self._results[key] = result
-        return result
-
-    def prefetch(
-        self,
-        specs: Sequence[Tuple],
-    ) -> None:
+    def prefetch(self, specs: Sequence[Tuple]) -> None:
         """Hand a batch of run requests to the engine up front.
 
-        With an engine attached the whole batch is handed over at once,
-        so independent points run with up to ``engine.jobs``-way
-        parallelism and cache hits replay immediately; results land in
-        the runner's in-memory memo, making the subsequent :meth:`run`
-        calls instant, and are bit-identical to on-demand serial runs.
-        Without an engine this is a no-op: :meth:`run` replays each
-        request on demand, one encoded pass per point.
+        The whole batch goes to the engine at once, so independent
+        points run with up to ``engine.jobs``-way parallelism and cache
+        hits replay immediately; results land in the runner's memo,
+        making the subsequent :meth:`run` calls instant, and are
+        bit-identical to on-demand runs.  Sanitized runners skip the
+        batch: :meth:`run` checks each point in-process on demand.
 
         Parameters
         ----------
         specs : sequence of tuple
-            ``(config, kernel, level)`` or ``(config, kernel, level,
-            cache_key)`` tuples, exactly as :meth:`run` would receive
-            them.  Already-memoised and duplicate requests are skipped.
+            ``(config, kernel, level)``, ``(config, kernel, level,
+            cache_key)`` or ``(config, kernel, level, cache_key,
+            passes)`` tuples, exactly as :meth:`run` would receive them.
+            Already-memoised and duplicate requests are skipped.
         """
-        if self.check or self.engine is None:
-            # Sanitized runs never fan out (see :meth:`run`); letting
-            # a prefetch path compute unchecked results would defeat
-            # --check.
-            return
-        from ..exec.cache import cache_key_of
-
-        points, keys = [], []
-        seen = set()
+        if self.check:
+            return  # unchecked batch results would defeat --check
+        batch: Dict[Tuple, RunPoint] = {}
         for spec in specs:
-            config, kernel, level = spec[0], spec[1], spec[2]
-            cache_key = spec[3] if len(spec) > 3 else None
-            key = self._memo_key(config, kernel, level, cache_key)
-            if key is None:
-                point = self._point(config, kernel, level, cache_key)
-                key = ("exec", cache_key_of(point))
-            else:
-                point = None
-            if key in self._results or key in seen:
-                continue
-            seen.add(key)
-            if point is None:
-                point = self._point(config, kernel, level, cache_key)
-            points.append(point)
-            keys.append(key)
-        if not points:
-            return
-        for key, result in zip(keys, self.engine.run_points(points)):
-            self._results[key] = result
+            key, point = self._point(*spec)
+            if key not in self._results:
+                batch.setdefault(key, point)
+        if batch:
+            self._results.update(zip(batch, self.engine.run_points(list(batch.values()))))
 
     def profile(
         self,
@@ -442,8 +395,9 @@ class ExperimentRunner:
         name = resolve_config_name(config)
         system = make_system(name)
         probe = RecordingProbe(record_events=record_events, max_events=max_events)
-        trace = self.annotated_trace(kernel, level)
-        regions = warm_regions_of(self.program(kernel, level))
+        program = self.program(kernel, level)
+        trace = encode_trace(program, TraceConfig(annotate_ir=True))
+        regions = warm_regions_of(program)
         if self.check:
             from ..check.sanitizer import Sanitizer
 
@@ -469,6 +423,7 @@ class ExperimentRunner:
         level: OptLevel = OptLevel.NONE,
         baseline_level: Optional[OptLevel] = None,
         cache_key: Optional[str] = None,
+        passes: Sequence[Transform] = (),
     ) -> float:
         """Penalty (%) of a configuration against the SRAM baseline.
 
@@ -488,6 +443,9 @@ class ExperimentRunner:
             ``level``).
         cache_key : str, optional
             Memo key for ad hoc configs (see :meth:`run`).
+        passes : sequence of Transform
+            Extra IR passes of the tested code (see :meth:`run`); the
+            baseline never gets them.
 
         Returns
         -------
@@ -496,7 +454,7 @@ class ExperimentRunner:
         """
         base_level = level if baseline_level is None else baseline_level
         baseline = self.run("sram", kernel, base_level)
-        return self.run(config, kernel, level, cache_key=cache_key).penalty_vs(baseline)
+        return self.run(config, kernel, level, cache_key, passes).penalty_vs(baseline)
 
     def penalties(
         self,
@@ -504,11 +462,12 @@ class ExperimentRunner:
         level: OptLevel = OptLevel.NONE,
         baseline_level: Optional[OptLevel] = None,
         cache_key: Optional[str] = None,
+        passes: Sequence[Transform] = (),
     ) -> List[float]:
         """Per-kernel penalties over the runner's kernel list.
 
-        With an engine attached, every (kernel, config) point of the
-        figure — baselines included — is first fanned out as one batch
+        Every (kernel, config) point of the figure — baselines
+        included — is first handed to the engine as one batch
         (see :meth:`prefetch`); the per-kernel ratios are then computed
         from the memoised results in kernel order, so the output is
         independent of scheduling.
@@ -524,6 +483,8 @@ class ExperimentRunner:
             ``level``).
         cache_key : str, optional
             Memo key for ad hoc configs (see :meth:`run`).
+        passes : sequence of Transform
+            Extra IR passes of the tested code (see :meth:`penalty`).
 
         Returns
         -------
@@ -532,11 +493,11 @@ class ExperimentRunner:
         """
         base_level = level if baseline_level is None else baseline_level
         self.prefetch(
-            [(config, k, level, cache_key) for k in self.kernels]
+            [(config, k, level, cache_key, passes) for k in self.kernels]
             + [("sram", k, base_level) for k in self.kernels]
         )
         return [
-            self.penalty(config, k, level, baseline_level, cache_key=cache_key)
+            self.penalty(config, k, level, baseline_level, cache_key, passes)
             for k in self.kernels
         ]
 
@@ -555,8 +516,8 @@ class ExperimentRunner:
         line retirement at their defaults) and reports the penalty
         against the fault-free SRAM baseline — the Figure 5 metric, with
         reliability overhead added on top of the technology penalty.
-        With an engine attached, all ``configs`` x ``rates`` points (and
-        the baseline) run as one parallel batch.
+        All ``configs`` x ``rates`` points (and the baseline) go to the
+        engine as one batch.
 
         Parameters
         ----------

@@ -93,9 +93,9 @@ def run_sweep(
     values : sequence
         Values to sweep (already typed, or CLI strings).
     runner : ExperimentRunner, optional
-        Shared experiment runner (kernels/sizes come from it; an
-        attached :class:`~repro.exec.engine.ExecutionEngine` fans the
-        whole sweep grid out as one parallel batch).
+        Shared experiment runner (kernels/sizes come from it; its
+        :class:`~repro.exec.engine.ExecutionEngine` receives the whole
+        sweep grid as one batch).
     config : str
         Base named configuration (or alias) to modify.
     level : OptLevel

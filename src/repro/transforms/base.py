@@ -37,6 +37,14 @@ class Transform(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
+    def __eq__(self, other: object) -> bool:
+        # By value, so equal pass lists share one memoised program.
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        # Parameters may be unhashable (TileNest holds a list).
+        return hash(type(self))
+
 
 def apply_all(program: Program, transforms: Iterable[Transform]) -> Program:
     """Apply ``transforms`` in order, returning the final program.

@@ -374,6 +374,43 @@ class TestCheckWiring:
         result = runner.run("vwb", "gemm")
         assert result.cycles > 0
 
+    @pytest.mark.parametrize(
+        "experiment, kwargs",
+        [
+            ("ablation-icache", {"kernels": ["gemm"]}),
+            ("ablation-datasets", {"kernels": ["gemm"]}),
+            ("ablation-dram", {"kernels": ["gemm"]}),
+            ("ablation-interchange", {"kernels": ["gemm"]}),
+            ("ablation-prefetch", {"ahead_bytes": (64,)}),
+            ("endurance", {}),
+        ],
+    )
+    def test_every_checked_simulation_is_sanitized(self, monkeypatch, experiment, kwargs):
+        from repro.check.sanitizer import Sanitizer
+        from repro.cpu.system import System
+        from repro.experiments import EXPERIMENTS
+
+        depth, sanitized, unsanitized = [0], [], []
+        sanitizer_run, system_run = Sanitizer.run, System.run
+
+        def counting_sanitizer_run(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return sanitizer_run(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counting_system_run(self, *args, **kwargs):
+            (sanitized if depth[0] else unsanitized).append(self.config)
+            return system_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sanitizer, "run", counting_sanitizer_run)
+        monkeypatch.setattr(System, "run", counting_system_run)
+        runner = ExperimentRunner(kernels=["gemm"], check=True, check_stride=20_011)
+        EXPERIMENTS[experiment](runner=runner, **kwargs)
+        assert sanitized
+        assert unsanitized == []
+
     def test_cli_check_command_passes(self, capsys):
         from repro.cli import main
 

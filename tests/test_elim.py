@@ -30,6 +30,7 @@ from repro.cpu.fastpath import make_run_applier
 from repro.cpu.model import CPUConfig
 from repro.cpu.system import System, SystemConfig, warm_regions_of
 from repro.exec import ExecutionEngine, RunPoint
+from repro.exec import point as point_module
 from repro.experiments.runner import ExperimentRunner
 from repro.transforms.pipeline import OptLevel, optimize
 from repro.workloads import build_kernel, kernel_names
@@ -288,10 +289,14 @@ class TestRealTraces:
         with forced(True):
             assert len(runs_for(forced_trace, shape)) > 0
 
-    def test_one_shot_penalties_never_annotate(self):
-        # An engine-less penalties column replays each kernel twice
+    def test_one_shot_penalties_never_annotate(self, monkeypatch):
+        # A plain runner's penalties column replays each kernel twice
         # through the SRAM DL1 shape (drop-in, then the SRAM baseline):
         # below the break-even, so no trace may carry an annotation.
+        # The trace memo is process-wide; start from fresh traces so
+        # passes replayed by earlier tests do not count.
+        monkeypatch.setattr(point_module, "_PROGRAMS", {})
+        monkeypatch.setattr(point_module, "_TRACES", {})
         runner = ExperimentRunner(kernels=["atax", "gemm"])
         runner.penalties("dropin")
         for kernel in runner.kernels:

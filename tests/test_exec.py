@@ -86,7 +86,11 @@ class TestRunCache:
         return execute_point(point(kernel="atax"))
 
     def test_round_trip_is_bit_identical(self, result):
-        assert decode_result(encode_result(result)) == result
+        tracked = execute_point(point(kernel="atax", track_line_writes=True))
+        assert tracked.dl1_line_writes and not result.dl1_line_writes
+        for original in (result, tracked):
+            stored = json.loads(json.dumps(encode_result(original)))
+            assert decode_result(stored) == original
 
     def test_put_get_identity(self, tmp_path, result):
         cache = RunCache(tmp_path)
@@ -279,6 +283,21 @@ class TestCLI:
     def test_jobs_zero_is_usage_error(self, capsys):
         assert main(["fig1", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_invalid_point_config_is_a_usage_error_on_first_attempt(
+        self, jobs, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # --no-cache sweeps journal in the cwd
+        code = main(
+            ["sweep", "--param", "dl1_banks", "--values", "3", "--kernels", "gemm",
+             "--jobs", jobs, "--no-cache"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: dl1: bank count must be a power of two"]
+        assert "retrying" not in err
 
     def test_unknown_sweep_config_lists_aliases(self, capsys):
         code = main(
