@@ -4,7 +4,8 @@ Drives the exact scenario the resilience layer promises to survive —
 worker crashes, one hung point, and two pre-corrupted cache entries,
 all injected deterministically through a
 :class:`~repro.exec.resilience.FaultPlan` — across the complete
-``repro penalties`` evaluation grid, then proves four things:
+``repro penalties`` evaluation grid on a 4-worker pool, then proves
+four things:
 
 1. the rendered table is **byte-identical** to the committed
    ``benchmarks/golden_penalties.txt``;
@@ -13,6 +14,11 @@ all injected deterministically through a
 3. both corrupted entries were moved under ``<cache>/.quarantine/``
    with reason files;
 4. a second, fault-free run over the healed cache replays everything.
+
+A serial leg then runs the grid with ``jobs=1`` on a fresh cache,
+where the supervisor executes every point in-process, under two
+injected errors: the table must again be byte-identical, with exactly
+two retries and no worker restarts.
 
 Run it standalone (CI's ``resilience`` job does)::
 
@@ -48,6 +54,10 @@ PLAN = FaultPlan(
     corrupt_entries=(12, 20),
 )
 
+#: The serial leg's faults: errors fire in-process too (crashes and
+#: hangs only ever fire inside worker processes).
+SERIAL_PLAN = FaultPlan(errors={13: 1, 19: 1})
+
 
 def fail(message):
     """Print one diagnostic line and exit non-zero."""
@@ -55,11 +65,11 @@ def fail(message):
     sys.exit(1)
 
 
-def run_grid(workdir, plan, policy, label):
+def run_grid(workdir, plan, policy, label, jobs=4):
     """Run the full penalties grid under ``plan``; return (text, engine)."""
     telemetry = TelemetryRecorder(workdir / f"tele-{label}")
     engine = ExecutionEngine(
-        jobs=4,
+        jobs=jobs,
         cache_dir=str(workdir / "cache"),
         telemetry=telemetry,
         policy=policy,
@@ -76,6 +86,18 @@ def run_grid(workdir, plan, policy, label):
     return render_figure(result, bars=False) + "\n", engine
 
 
+def check_golden(text, golden, label):
+    """Fail with a unified diff unless ``text`` equals the golden table."""
+    if text != golden:
+        diff = "".join(
+            difflib.unified_diff(
+                golden.splitlines(True), text.splitlines(True),
+                "golden_penalties.txt", label,
+            )
+        )
+        fail(f"{label} output diverged from the golden table:\n{diff}")
+
+
 def main():
     """Run the chaos scenario and verify every guarantee."""
     golden = GOLDEN.read_text()
@@ -84,14 +106,7 @@ def main():
         policy = RetryPolicy(max_retries=3, timeout=20.0)
         text, engine = run_grid(workdir, PLAN, policy, "chaos")
 
-        if text != golden:
-            diff = "".join(
-                difflib.unified_diff(
-                    golden.splitlines(True), text.splitlines(True),
-                    "golden_penalties.txt", "chaos run",
-                )
-            )
-            fail(f"chaos output diverged from the golden table:\n{diff}")
+        check_golden(text, golden, "chaos run")
         print("chaos grid: byte-identical to golden_penalties.txt")
 
         stats = engine.stats
@@ -139,6 +154,18 @@ def main():
         ]["stats"]["misses"]:
             fail("healed-cache manifest reports cache misses")
         print("healed cache: 100% replay, still byte-identical")
+
+        serial, engine3 = run_grid(
+            workdir / "serial", SERIAL_PLAN, RetryPolicy(max_retries=1), "serial", jobs=1
+        )
+        check_golden(serial, golden, "serial run")
+        stats = engine3.stats
+        if stats.retries != 2 or stats.worker_restarts:
+            fail(
+                f"serial leg expected exactly 2 retries and 0 worker restarts, "
+                f"saw {stats.retries} and {stats.worker_restarts}"
+            )
+        print(f"serial leg: byte-identical in-process, {stats.retries} retries")
         print("chaos acceptance: all guarantees held")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -11,12 +11,13 @@ loop into a scheduled batch:
   IR, full system configuration, technology parameters, optimization
   level, seed and the simulator's own code fingerprint, and stores
   results as atomic JSON entries (:class:`RunCache`);
-- :mod:`repro.exec.engine` fans cache-missing points out over a
-  supervised worker pool (:class:`ExecutionEngine`, CLI ``--jobs N``)
-  with deterministic, input-ordered results, replaying hits instantly
-  and persisting each completion so interrupted sweeps resume;
-- :mod:`repro.exec.resilience` supplies the failure machinery under it:
-  crash-surviving worker supervision, per-point timeouts, retry with
+- :mod:`repro.exec.engine` replays cache hits instantly and hands the
+  cache-missing points to one scheduler (:class:`ExecutionEngine`, CLI
+  ``--jobs N``) with deterministic, input-ordered results, persisting
+  each completion so interrupted sweeps resume;
+- :mod:`repro.exec.resilience` supplies that scheduler and its failure
+  machinery: the :class:`Supervisor` (in-process for ``jobs=1``, else
+  a crash-surviving worker pool), per-point timeouts, retry with
   exponential backoff (:class:`RetryPolicy`), poison-point quarantine,
   structured :class:`PointFailure` records, the :class:`SweepJournal`
   checkpoint that makes ``SIGINT``/``SIGTERM`` resumable, and the

@@ -12,10 +12,10 @@ of how the work was scheduled:
    (:class:`~repro.exec.resilience.SweepJournal`) replays next, so a
    resumed run executes only the points that never finished;
 2. the remaining points are deduplicated by key (a figure batch shares
-   one SRAM baseline across configurations) and executed — inline when
-   ``jobs == 1``, else on a crash-surviving
-   :class:`~repro.exec.resilience.Supervisor` worker pool with ``jobs``
-   workers;
+   one SRAM baseline across configurations) and handed to the
+   :class:`~repro.exec.resilience.Supervisor`, the one scheduler — it
+   runs them in-process when ``jobs == 1`` or the batch has one such
+   point, else on a crash-surviving pool of ``jobs`` workers;
 3. each result is persisted to the cache and the journal the moment it
    completes, so an interrupted sweep resumes from the finished points.
 
@@ -40,41 +40,38 @@ or the journal — the engine's central invariant, pinned by
 ``tests/test_exec.py`` and the chaos suite in
 ``tests/test_resilience.py``.
 
-Per-point progress and the hit/miss counters are surfaced through the
-:mod:`repro.obs` probe layer (:meth:`~repro.obs.probe.Probe.exec_point`)
-and summarised in :class:`ExecStats`.  When a
+Per-point progress goes to the ``progress`` stream.  Every counter —
+hits, misses, retries, timeouts, executions — lives once, in the
+engine's :class:`~repro.telemetry.metrics.MetricsRegistry`;
+:class:`ExecStats` is a read-only view of it.  When a
 :class:`~repro.telemetry.events.TelemetryRecorder` is attached, the
 engine additionally emits batch/point spans and retry events into
-``events.jsonl``, feeds a
-:class:`~repro.telemetry.metrics.MetricsRegistry`, and collects the
-per-point provenance records (failures included) the run manifest is
-built from — all of it guarded on ``telemetry.enabled`` so a disabled
-run pays nothing and stays bit-identical (the same contract
-``NullProbe`` upholds).
+``events.jsonl`` and collects the per-point provenance records
+(failures included) the run manifest is built from — all of it guarded
+on ``telemetry.enabled`` so a disabled run pays nothing and stays
+bit-identical (the same contract ``NullProbe`` upholds).
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
 from ..cpu.model import RunResult
 from ..errors import ConfigurationError, SweepFailure
-from ..obs.probe import NULL_PROBE, Probe
+from ..telemetry import log
 from ..telemetry.events import NULL_TELEMETRY, Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from .cache import RunCache, cache_key_of, canonicalize, key_material_of
-from .point import RunPoint, execute_point
+from .point import RunPoint
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
     PointFailure,
     RetryPolicy,
     Supervisor,
-    SupervisorHooks,
     SweepJournal,
     Task,
     estimate_point_cost,
@@ -82,77 +79,109 @@ from .resilience import (
 )
 
 
-@dataclass
+def _counter(name: str) -> property:
+    """An :class:`ExecStats` attribute reading registry counter ``name``."""
+    return property(lambda self: self.metrics.counters.get(name, 0))
+
+
+def _histogram_total(name: str) -> property:
+    """An :class:`ExecStats` attribute summing registry histogram ``name``."""
+
+    def total(self: "ExecStats") -> float:
+        hist = self.metrics.histograms.get(name)
+        return hist.total if hist is not None else 0.0
+
+    return property(total)
+
+
 class ExecStats:
-    """Counters accumulated by one :class:`ExecutionEngine`.
+    """Read-only view of one :class:`ExecutionEngine`'s counters.
+
+    Every attribute reads the engine's
+    :class:`~repro.telemetry.metrics.MetricsRegistry` (the registry
+    name is in brackets), so each counter has one source of truth.
 
     Attributes
     ----------
     points : int
-        Points requested across all batches (duplicates included).
+        Points requested across all batches, duplicates included
+        [``exec.points``].
     hits : int
-        Points replayed from the run cache.
+        Points replayed from the run cache [``cache.hit``].
     misses : int
         Points not found in the cache (``journal_hits`` + ``executed``
-        + ``deduplicated`` + ``failed``).
+        + ``deduplicated`` + ``failed``) [``cache.miss``].
     journal_hits : int
         Cache-missing points replayed from the checkpoint journal of an
-        interrupted previous sweep (counted within ``misses``).
+        interrupted previous sweep, within ``misses`` [``journal.replay``].
     stale : int
-        Misses caused by an entry of a different cache format version
-        (counted within ``misses``).
+        Misses caused by an entry of another cache format [``cache.stale``].
     corrupt : int
-        Misses caused by an unreadable or undecodable entry (counted
-        within ``misses``).
+        Misses caused by an unreadable or undecodable entry [``cache.corrupt``].
     executed : int
-        Simulations actually run to completion.
+        Simulations actually run to completion [``exec.executed``].
     deduplicated : int
         Cache-missing points that shared a key with another point of the
-        same batch and were computed only once.
+        same batch and were computed only once [``exec.deduplicated``].
     retries : int
-        Attempts re-dispatched after an error, timeout or worker crash.
+        Attempts re-dispatched after an error, timeout or worker crash
+        [``exec.retries``].
     timeouts : int
-        Attempts killed for exceeding their wall-clock budget.
+        Attempts killed for exceeding their wall-clock budget
+        [``exec.attempt_timeout``].
     worker_restarts : int
-        Worker processes respawned after a death.
+        Worker processes respawned after a death
+        [``exec.worker_restarts``].
     quarantined : int
-        Poison points degraded to in-process serial execution.
+        Poison points degraded to in-process execution
+        [``exec.quarantined``].
     failed : int
-        Points terminally failed after the retry budget was exhausted.
+        Points terminally failed after the retry budget was exhausted
+        [``exec.failed``].
     events_eliminated : int
         Trace events consumed through guaranteed-hit runs
         (:mod:`repro.workloads.elim`) instead of per-event simulation,
-        accumulated per batch from the in-process elimination counters.
-        Pool workers run in their own processes, so only in-process
-        execution (``jobs=1``, quarantined points, cache-hit replays
-        of course eliminate nothing) contributes here.
+        accumulated per batch from the in-process elimination counters
+        [``elim.events_eliminated``].  Pool workers run in their own
+        processes, so only in-process execution (``jobs=1``,
+        single-point batches, quarantined points) contributes here.
     runs_applied : int
         Guaranteed-hit runs applied in-process (same visibility caveat
-        as ``events_eliminated``).
+        as ``events_eliminated``) [``elim.runs_applied``].
     elapsed : float
-        Wall-clock seconds spent inside :meth:`ExecutionEngine.run_points`.
+        Wall-clock seconds spent inside :meth:`ExecutionEngine.run_points`
+        [total of ``exec.batch_wall_s``].
     busy : float
         Summed execution wall seconds across all workers — divided by
-        ``elapsed * jobs`` this is the pool's utilization.
+        ``elapsed * jobs`` this is the pool's utilization [total of
+        ``exec.point_wall_s``].
+
+    Parameters
+    ----------
+    metrics : MetricsRegistry
+        The registry the engine counts into.
     """
 
-    points: int = 0
-    hits: int = 0
-    misses: int = 0
-    journal_hits: int = 0
-    stale: int = 0
-    corrupt: int = 0
-    executed: int = 0
-    deduplicated: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    worker_restarts: int = 0
-    quarantined: int = 0
-    failed: int = 0
-    events_eliminated: int = 0
-    runs_applied: int = 0
-    elapsed: float = 0.0
-    busy: float = 0.0
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.metrics = metrics
+
+    points = _counter("exec.points")
+    hits = _counter("cache.hit")
+    misses = _counter("cache.miss")
+    journal_hits = _counter("journal.replay")
+    stale = _counter("cache.stale")
+    corrupt = _counter("cache.corrupt")
+    executed = _counter("exec.executed")
+    deduplicated = _counter("exec.deduplicated")
+    retries = _counter("exec.retries")
+    timeouts = _counter("exec.attempt_timeout")
+    worker_restarts = _counter("exec.worker_restarts")
+    quarantined = _counter("exec.quarantined")
+    failed = _counter("exec.failed")
+    events_eliminated = _counter("elim.events_eliminated")
+    runs_applied = _counter("elim.runs_applied")
+    elapsed = _histogram_total("exec.batch_wall_s")
+    busy = _histogram_total("exec.point_wall_s")
 
     def hit_rate(self) -> float:
         """Cache hit rate in percent (100.0 for an all-hit batch).
@@ -163,6 +192,20 @@ class ExecStats:
             ``hits / points * 100``, or 0.0 before any point ran.
         """
         return self.hits / self.points * 100.0 if self.points else 0.0
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Every attribute by name, for the run manifest.
+
+        Returns
+        -------
+        dict
+            Attribute name to value, in declaration order.
+        """
+        return {
+            name: getattr(self, name)
+            for name, attr in vars(ExecStats).items()
+            if isinstance(attr, property)
+        }
 
 
 @dataclass
@@ -181,7 +224,8 @@ class BatchOutcome:
     ----------
     results : list of RunResult or None
         ``results[i]`` is the outcome of input point ``i`` — ``None``
-        exactly for the points listed in ``failures``.
+        for the points listed in ``failures`` and for the points a
+        ``fail_fast`` stop left unrun.
     failures : list of PointFailure
         Terminal failures of this batch (empty for a clean run).
     """
@@ -195,8 +239,14 @@ class BatchOutcome:
         return not self.failures
 
 
-class _EngineHooks(SupervisorHooks):
-    """Bridges supervisor scheduling events into one engine batch."""
+class _Batch:
+    """One batch's cache-missing points, as the supervisor reports them.
+
+    The :class:`~repro.exec.resilience.Supervisor` calls these methods
+    as scheduling events happen, for in-process and pooled attempts
+    alike; they feed the engine's metrics, telemetry, progress stream,
+    run cache and journal, and fill the batch's result slots.
+    """
 
     def __init__(
         self,
@@ -204,13 +254,13 @@ class _EngineHooks(SupervisorHooks):
         pending: Dict[str, _Pending],
         results: List[Optional[RunResult]],
         total: int,
-        batch_span: int,
+        span: int,
     ) -> None:
         self.engine = engine
         self.pending = pending
         self.results = results
         self.total = total
-        self.batch_span = batch_span
+        self.span = span
         self.spans: Dict[str, int] = {}
         self.submitted: Dict[str, float] = {}
 
@@ -221,10 +271,7 @@ class _EngineHooks(SupervisorHooks):
         if tele.enabled:
             if task.key not in self.spans:
                 self.spans[task.key] = tele.begin_span(
-                    "point",
-                    parent=self.batch_span,
-                    label=task.point.display(),
-                    key=task.key,
+                    "point", parent=self.span, label=task.point.display(), key=task.key
                 )
             if task.attempts > 1:
                 tele.event(
@@ -232,58 +279,112 @@ class _EngineHooks(SupervisorHooks):
                 )
 
     def attempt_failed(self, task: Task, kind: str) -> None:
-        """Count one failed attempt."""
-        self.engine._on_attempt_failed(task, kind)
+        """Count one failed attempt (``kind``: error/timeout/crash)."""
+        self.engine.metrics.count(f"exec.attempt_{kind}")
+        if self.engine.telemetry.enabled:
+            self.engine.telemetry.event(
+                "point_attempt_failed",
+                label=task.point.display(),
+                kind=kind,
+                attempt=task.attempts,
+            )
 
     def retrying(self, task: Task, kind: str) -> None:
         """Count and announce one re-queued point."""
-        self.engine._on_retry(task, kind)
+        self.engine.metrics.count("exec.retries")
+        log.warn(
+            f"{task.point.display()}: attempt {task.attempts} {kind}; retrying "
+            f"(budget {self.engine.policy.max_retries + 1} attempts)"
+        )
+        if self.engine.telemetry.enabled:
+            self.engine.telemetry.event(
+                "point_retry", label=task.point.display(), kind=kind, attempt=task.attempts
+            )
 
     def quarantined(self, task: Task) -> None:
-        """Count and announce one poison point degrading to serial."""
-        self.engine._on_quarantined(task)
+        """Count and announce one poison point degrading to in-process."""
+        self.engine.metrics.count("exec.quarantined")
+        log.warn(
+            f"{task.point.display()}: crashed {task.crashes} worker(s); "
+            "quarantined to in-process execution"
+        )
+        if self.engine.telemetry.enabled:
+            self.engine.telemetry.event(
+                "point_quarantined", label=task.point.display(), crashes=task.crashes
+            )
 
-    def worker_restarted(self, pid: int) -> None:
-        """Count one worker respawn."""
-        self.engine._on_worker_restart()
+    def worker_restarted(self) -> None:
+        """Count one worker respawn after a death."""
+        self.engine.metrics.count("exec.worker_restarts")
+        log.warn("worker process died; restarted a replacement")
+        if self.engine.telemetry.enabled:
+            self.engine.telemetry.event("worker_restarted")
 
     def completed(self, task: Task, result: RunResult, pid: int, wall_s: float) -> None:
-        """Persist and slot one finished point."""
+        """Persist one finished point and fill every slot it serves."""
+        engine = self.engine
+        entry = self.pending[task.key]
         dt = time.monotonic() - self.submitted.get(task.key, time.monotonic())
-        self.engine._complete(
-            task.key,
-            self.pending[task.key],
-            result,
-            self.results,
-            self.total,
-            dt,
-            pid,
-            wall_s,
-            self.spans.get(task.key, 0),
-        )
+        engine.metrics.count("exec.executed")
+        engine.metrics.observe("exec.point_wall_s", wall_s)
+        engine._store(task.key, result, entry.point)
+        engine._journal_record(task.key, result)
+        for i in entry.indices:
+            self.results[i] = result
+        tele = engine.telemetry
+        if tele.enabled:
+            end = tele.now()
+            engine._record_point(
+                entry.point, task.key, "run", pid, wall_s, max(0.0, end - wall_s), result
+            )
+            tele.end_span(
+                self.spans.get(task.key, 0),
+                status="run",
+                worker_pid=int(pid),
+                wall_s=round(wall_s, 6),
+            )
+        engine._report(entry.point, "run", entry.indices[0], self.total, dt)
 
     def failed(self, failure: PointFailure) -> None:
-        """Record one terminal failure."""
-        entry = self.pending[failure.key]
-        self.engine._fail(failure, entry, self.spans.get(failure.key, 0))
+        """Record one terminal point failure."""
+        engine = self.engine
+        engine.metrics.count("exec.failed")
+        engine.failures.append(failure)
+        if not failure.invalid_input:  # run_points re-raises those verbatim
+            log.error(failure.describe())
+        tele = engine.telemetry
+        if tele.enabled:
+            point = self.pending[failure.key].point
+            engine._record_point(
+                point, failure.key, "failed", failure.worker_pid, 0.0, tele.now(), None
+            )
+            tele.end_span(
+                self.spans.get(failure.key, 0),
+                status="failed",
+                kind=failure.kind,
+                attempts=failure.attempts,
+            )
 
 
 class ExecutionEngine:
     """Runs batches of simulation points, in parallel, cached, resilient.
 
+    Every cache-missing point goes through one
+    :class:`~repro.exec.resilience.Supervisor` per batch, whatever
+    ``jobs`` is, and every counter goes into :attr:`metrics`
+    (:attr:`stats` is a read-only view of it).
+
     Parameters
     ----------
     jobs : int
         Worker processes for cache-missing points.  ``1`` (the default)
-        executes inline in this process; results are bit-identical
-        either way.
+        spawns none: the supervisor runs every point in this process,
+        under the same retry policy minus timeouts.  Results are
+        bit-identical either way.
     cache_dir : str or pathlib.Path, optional
         Run-cache directory.  ``None`` disables the cache entirely
         (every point recomputes; the checkpoint journal then lives in
         :data:`~repro.exec.resilience.DEFAULT_JOURNAL_DIR`).
-    probe : Probe, optional
-        Observability probe notified per point via
-        :meth:`~repro.obs.probe.Probe.exec_point`.
     progress : TextIO, optional
         Stream for one human-readable line per completed point (the CLI
         passes ``sys.stderr``); ``None`` silences progress output.
@@ -317,7 +418,6 @@ class ExecutionEngine:
         self,
         jobs: int = 1,
         cache_dir: Optional[str] = None,
-        probe: Probe = NULL_PROBE,
         progress: Optional[TextIO] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
         policy: Optional[RetryPolicy] = None,
@@ -328,13 +428,12 @@ class ExecutionEngine:
             raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
         self.jobs = int(jobs)
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
-        self.probe = probe
         self.progress = progress
         self.telemetry = telemetry
         self.policy = policy if policy is not None else RetryPolicy()
         self.fault_plan = fault_plan
-        self.stats = ExecStats()
         self.metrics = MetricsRegistry()
+        self.stats = ExecStats(self.metrics)
         #: Terminal point failures across all batches.
         self.failures: List[PointFailure] = []
         #: Per-point provenance dicts (manifest ``points``), collected
@@ -356,8 +455,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _report(self, point: RunPoint, status: str, index: int, total: int, dt: float) -> None:
-        """Emit one per-point progress record (probe + progress stream)."""
-        self.probe.exec_point(point.display(), status, index, total, dt)
+        """Print one per-point progress line to the progress stream."""
         if self.progress is not None:
             print(
                 f"[{index + 1}/{total}] {point.display()}: {status} ({dt:.2f}s)",
@@ -458,8 +556,9 @@ class ExecutionEngine:
         Returns
         -------
         BatchOutcome
-            Input-ordered results (``None`` for failed points) and this
-            batch's terminal failures.
+            Input-ordered results (``None`` for failed points and for
+            points a ``fail_fast`` stop left unrun) and this batch's
+            terminal failures.
         """
         from ..workloads.elim import counters as _elim_counters
 
@@ -467,7 +566,7 @@ class ExecutionEngine:
         elim_before = _elim_counters()
         points = list(points)
         total = len(points)
-        self.stats.points += total
+        self.metrics.count("exec.points", total)
         results: List[Optional[RunResult]] = [None] * total
         failures_before = len(self.failures)
 
@@ -482,7 +581,6 @@ class ExecutionEngine:
                 if found is not None and found.status in ("stale", "corrupt"):
                     self._note_cache_anomaly(found.status, key, point)
                 if found is not None and found.result is not None:
-                    self.stats.hits += 1
                     self.metrics.count("cache.hit")
                     results[i] = found.result
                     if tele.enabled:
@@ -492,14 +590,12 @@ class ExecutionEngine:
                         tele.event("point_hit", label=point.display(), key=key)
                     self._report(point, "hit", i, total, 0.0)
                     continue
-                self.stats.misses += 1
                 self.metrics.count("cache.miss")
                 journaled = self.journal.lookup(key) if self.journal is not None else None
                 if journaled is not None:
                     self._replay_journal(point, key, journaled, results, i, total)
                     continue
                 if key in pending:
-                    self.stats.deduplicated += 1
                     self.metrics.count("exec.deduplicated")
                     pending[key].indices.append(i)
                 else:
@@ -508,16 +604,11 @@ class ExecutionEngine:
             if pending:
                 self._execute_pending(pending, results, total, batch.id)
 
-        dt = time.monotonic() - started
-        self.stats.elapsed += dt
+        self.metrics.observe("exec.batch_wall_s", time.monotonic() - started)
         elim_after = _elim_counters()
-        self.stats.events_eliminated += (
-            elim_after["events_eliminated"] - elim_before["events_eliminated"]
-        )
-        self.stats.runs_applied += (
-            elim_after["runs_applied"] - elim_before["runs_applied"]
-        )
-        self.metrics.observe("exec.batch_wall_s", dt)
+        for name in ("events_eliminated", "runs_applied"):
+            if elim_after[name] != elim_before[name]:
+                self.metrics.count(f"elim.{name}", elim_after[name] - elim_before[name])
         if self.stats.elapsed > 0.0:
             self.metrics.gauge(
                 "exec.utilization_pct",
@@ -534,8 +625,6 @@ class ExecutionEngine:
         """
         if self.journal is not None and not self.failures:
             self.journal.discard()
-        elif self.journal is not None:
-            self.journal.close()
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -568,7 +657,6 @@ class ExecutionEngine:
         total: int,
     ) -> None:
         """Fill one slot from the interrupted-sweep checkpoint journal."""
-        self.stats.journal_hits += 1
         self.metrics.count("journal.replay")
         results[index] = result
         self._store(key, result, point)  # heal the cache from the journal
@@ -585,8 +673,6 @@ class ExecutionEngine:
         try:
             self.cache.put(key, result, key_material_of(point))
         except OSError as exc:
-            from ..telemetry import log
-
             root = self.cache.root
             self.cache = None
             self._cache_degraded = True
@@ -604,8 +690,6 @@ class ExecutionEngine:
         if self.journal is None:
             return
         if not self.journal.record(key, result):
-            from ..telemetry import log
-
             path = self.journal.path
             self.journal = None
             self.metrics.count("journal.degraded")
@@ -615,84 +699,8 @@ class ExecutionEngine:
             )
             self.telemetry.warning("journal_degraded", path=str(path))
 
-    def _on_attempt_failed(self, task: Task, kind: str) -> None:
-        """Count one failed attempt of ``task`` (error/timeout/crash)."""
-        self.metrics.count(f"exec.attempt_{kind}")
-        if kind == "timeout":
-            self.stats.timeouts += 1
-            self.metrics.count("exec.timeouts")
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "point_attempt_failed",
-                label=task.point.display(),
-                kind=kind,
-                attempt=task.attempts,
-            )
-
-    def _on_retry(self, task: Task, kind: str) -> None:
-        """Count and announce one re-queued point."""
-        from ..telemetry import log
-
-        self.stats.retries += 1
-        self.metrics.count("exec.retries")
-        log.warn(
-            f"{task.point.display()}: attempt {task.attempts} {kind}; retrying "
-            f"(budget {self.policy.max_retries + 1} attempts)"
-        )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "point_retry", label=task.point.display(), kind=kind, attempt=task.attempts
-            )
-
-    def _on_quarantined(self, task: Task) -> None:
-        """Count and announce one poison point degrading to serial."""
-        from ..telemetry import log
-
-        self.stats.quarantined += 1
-        self.metrics.count("exec.quarantined")
-        log.warn(
-            f"{task.point.display()}: crashed {task.crashes} worker(s); "
-            "quarantined to in-process execution"
-        )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "point_quarantined", label=task.point.display(), crashes=task.crashes
-            )
-
-    def _on_worker_restart(self) -> None:
-        """Count one worker respawn after a death."""
-        from ..telemetry import log
-
-        self.stats.worker_restarts += 1
-        self.metrics.count("exec.worker_restarts")
-        log.warn("worker process died; restarted a replacement")
-        if self.telemetry.enabled:
-            self.telemetry.event("worker_restarted")
-
-    def _fail(self, failure: PointFailure, entry: _Pending, span_id: int = 0) -> None:
-        """Record one terminal point failure."""
-        from ..telemetry import log
-
-        self.stats.failed += 1
-        self.metrics.count("exec.failed")
-        self.failures.append(failure)
-        if not failure.invalid_input:  # run_points re-raises those verbatim
-            log.error(failure.describe())
-        tele = self.telemetry
-        if tele.enabled:
-            self._record_point(
-                entry.point, failure.key, "failed", failure.worker_pid, 0.0, tele.now(), None
-            )
-            tele.end_span(span_id, status="failed", kind=failure.kind, attempts=failure.attempts)
-
     def _note_cache_anomaly(self, status: str, key: str, point: RunPoint) -> None:
         """Count, report and quarantine one stale/corrupt cache entry."""
-        from ..telemetry import log
-
-        if status == "stale":
-            self.stats.stale += 1
-        else:
-            self.stats.corrupt += 1
         self.metrics.count(f"cache.{status}")
         path = str(self.cache.path_for(key))
         moved = self.cache.quarantine(key, f"{status} entry for {point.display()} ({key})")
@@ -726,105 +734,15 @@ class ExecutionEngine:
             costs = [estimate_point_cost(task.point) for task in tasks]
             for task, budget in zip(tasks, scale_timeouts(costs, self.policy.timeout)):
                 task.timeout = budget
-        if self.jobs == 1 or len(tasks) == 1:
-            self._execute_serial(tasks, pending, results, total, batch_span)
-            return
-        hooks = _EngineHooks(self, pending, results, total, batch_span)
         supervisor = Supervisor(
             jobs=min(self.jobs, len(tasks)),
             policy=self.policy,
             fault_plan=self.fault_plan,
-            hooks=hooks,
+            batch=_Batch(self, pending, results, total, batch_span),
         )
         self.metrics.gauge("exec.queue_depth", len(tasks))
         supervisor.run(tasks)
         self.metrics.gauge("exec.queue_depth", 0)
-
-    def _execute_serial(
-        self,
-        tasks: List[Task],
-        pending: Dict[str, _Pending],
-        results: List[Optional[RunResult]],
-        total: int,
-        batch_span: int,
-    ) -> None:
-        """In-process execution with the same retry policy (no timeouts).
-
-        Wall-clock budgets need a killable worker process, so the serial
-        path enforces only the error-retry part of the policy — hung
-        points cannot be interrupted here.
-        """
-        tele = self.telemetry
-        for task in tasks:
-            entry = pending[task.key]
-            span_id = 0
-            if tele.enabled:
-                span_id = tele.begin_span(
-                    "point", parent=batch_span, label=entry.point.display(), key=task.key
-                )
-            t0 = time.monotonic()
-            while True:
-                task.attempts += 1
-                attempt_started = time.monotonic()
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.apply_inline(task.index, task.attempts)
-                    result = execute_point(entry.point)
-                except Exception as exc:
-                    task.last_error = (
-                        "error",
-                        type(exc).__name__,
-                        str(exc),
-                        traceback_module.format_exc(),
-                        os.getpid(),
-                    )
-                    self._on_attempt_failed(task, "error")
-                    if task.attempts > self.policy.max_retries or task.invalid_input:
-                        self._fail(task.failure("error"), entry, span_id)
-                        break
-                    self._on_retry(task, "error")
-                    time.sleep(self.policy.backoff(task.attempts))
-                    continue
-                wall = time.monotonic() - attempt_started
-                dt = time.monotonic() - t0
-                self._complete(
-                    task.key, entry, result, results, total, dt, os.getpid(), wall, span_id
-                )
-                break
-            if self.policy.fail_fast and self.failures:
-                break
-
-    def _complete(
-        self,
-        key: str,
-        entry: _Pending,
-        result: RunResult,
-        results: List[Optional[RunResult]],
-        total: int,
-        dt: float,
-        worker_pid: int,
-        wall_s: float,
-        span_id: int = 0,
-    ) -> None:
-        """Persist one finished point and fill every slot it serves."""
-        self.stats.executed += 1
-        self.stats.busy += wall_s
-        self.metrics.count("exec.executed")
-        self.metrics.observe("exec.point_wall_s", wall_s)
-        self._store(key, result, entry.point)
-        self._journal_record(key, result)
-        for i in entry.indices:
-            results[i] = result
-        tele = self.telemetry
-        if tele.enabled:
-            end = tele.now()
-            self._record_point(
-                entry.point, key, "run", worker_pid, wall_s, max(0.0, end - wall_s), result
-            )
-            tele.end_span(
-                span_id, status="run", worker_pid=int(worker_pid), wall_s=round(wall_s, 6)
-            )
-        self._report(entry.point, "run", entry.indices[0], total, dt)
 
     def _record_point(
         self,
@@ -864,7 +782,6 @@ def make_engine(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
-    probe: Probe = NULL_PROBE,
     progress: Optional[TextIO] = None,
     telemetry: Telemetry = NULL_TELEMETRY,
     timeout: Optional[float] = None,
@@ -877,8 +794,9 @@ def make_engine(
     A configured engine is built when parallelism, caching, telemetry
     or a resilience bound was requested.  For plain ``repro fig1`` this
     returns ``None`` and :class:`~repro.experiments.runner.
-    ExperimentRunner` runs its points on its own serial engine with no
-    cache, journal or progress output — no filesystem side effects.
+    ExperimentRunner` runs its points on its own ``jobs=1`` engine with
+    no cache, journal or progress output — no filesystem side effects.
+    Either way every point is scheduled by the same supervisor.
 
     Parameters
     ----------
@@ -890,8 +808,6 @@ def make_engine(
         used unless ``no_cache`` is set.
     no_cache : bool
         Disable the run cache (``--no-cache``) while keeping ``jobs``.
-    probe : Probe, optional
-        Forwarded to :class:`ExecutionEngine`.
     progress : TextIO, optional
         Forwarded to :class:`ExecutionEngine`; defaults to the levelled
         CLI log's progress stream (``sys.stderr`` unless ``--quiet``).
@@ -902,8 +818,10 @@ def make_engine(
     timeout : float, optional
         Base per-point wall-clock budget (``--timeout``); engages the
         engine and is scaled per point by the static cost estimate.
-        Enforced only on the parallel path (a hung in-process point
-        cannot be killed).
+        Enforced only on attempts in worker processes: with ``jobs ==
+        1``, in a one-point batch and for quarantined points the
+        supervisor runs the point in-process, where a hung attempt
+        cannot be killed.
     max_retries : int, optional
         Retry budget per point (``--max-retries``); engages the engine.
         ``None`` keeps the :class:`~repro.exec.resilience.RetryPolicy`
@@ -935,7 +853,6 @@ def make_engine(
     resilient = timeout is not None or max_retries is not None or fail_fast or fault_plan is not None
     if jobs == 1 and cache_dir is None and not telemetry.enabled and not resilient:
         return None
-    from ..telemetry import log
     from .cache import DEFAULT_CACHE_DIR
 
     resolved_dir: Optional[str] = cache_dir
@@ -955,7 +872,6 @@ def make_engine(
     return ExecutionEngine(
         jobs=jobs,
         cache_dir=resolved_dir,
-        probe=probe,
         progress=progress,
         telemetry=telemetry,
         policy=policy,

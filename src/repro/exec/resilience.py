@@ -1,25 +1,24 @@
 """Fault-tolerant execution: supervised workers, retries, checkpoints.
 
-The plain :class:`~concurrent.futures.ProcessPoolExecutor` path of the
-execution engine dies with the first misbehaving point: a crashed
-worker raises ``BrokenProcessPool`` and aborts the sweep, a hung point
-stalls it forever, and a point that raises takes every other in-flight
-result down with it.  This module supplies the resilience layer the
-engine schedules through instead:
+The execution engine schedules every cache-missing point through this
+module, so one failure model covers serial and parallel sweeps alike:
 
-- :class:`Supervisor` owns a pool of long-lived worker processes, each
-  connected over its own duplex pipe.  Crashes are detected as pipe
-  EOF (no shared queue can be corrupted by a dying worker), the dead
-  worker is reaped and respawned, and only its in-flight point is
-  re-dispatched.
+- :class:`Supervisor` is the only scheduler.  With ``jobs > 1`` it owns
+  a pool of long-lived worker processes, each connected over its own
+  duplex pipe: crashes are detected as pipe EOF (no shared queue can be
+  corrupted by a dying worker), the dead worker is reaped and
+  respawned, and only its in-flight point is re-dispatched.  With
+  ``jobs == 1`` (or a one-task batch) it spawns no workers and runs
+  every point in-process, through the same routine that runs
+  quarantined points of a pool.
 - :class:`RetryPolicy` bounds the damage a point can do: failed and
   timed-out attempts retry with exponential backoff up to
   ``max_retries``; points that keep killing workers are quarantined
-  after ``quarantine_after`` crashes and degraded to in-process serial
+  after ``quarantine_after`` crashes and degraded to in-process
   execution as a last resort; per-point wall-clock timeouts are
   enforced by killing the worker (the only way to stop a hung
-  simulation) and scale with a static per-kernel cost estimate
-  (:func:`estimate_point_cost`).
+  simulation, so in-process attempts have none) and scale with a
+  static per-kernel cost estimate (:func:`estimate_point_cost`).
 - Terminal failures become structured :class:`PointFailure` records —
   exception, traceback, worker pid, attempt count — instead of an
   abort, so a partial sweep still returns every completed result.
@@ -34,10 +33,11 @@ engine schedules through instead:
   powering the ``tests/test_resilience.py`` suite that proves a
   disturbed sweep's results are bit-identical to an undisturbed run.
 
-The supervisor is deliberately free of engine concerns: progress,
-telemetry, caching and journaling are injected through
-:class:`SupervisorHooks`, so the scheduling core stays independently
-testable.  See ``docs/ARCHITECTURE.md`` §2.12 for the failure model.
+The supervisor decides *when* and *where* a point runs; the engine's
+per-batch object (:class:`repro.exec.engine._Batch`) receives every
+scheduling event and owns progress, telemetry, metrics, the run cache
+and the journal.  See ``docs/ARCHITECTURE.md`` §2.12 for the failure
+model.
 """
 
 from __future__ import annotations
@@ -51,13 +51,16 @@ import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..cpu.model import RunResult
 from ..errors import ConfigurationError
 from ..workloads.ir import Loop
 from .cache import decode_result, encode_result
 from .point import RunPoint, build_point_program, execute_point
+
+if TYPE_CHECKING:
+    from .engine import _Batch
 
 #: File name of the completed-point checkpoint journal.
 JOURNAL_FILENAME = "journal.jsonl"
@@ -98,10 +101,10 @@ class PointFailure:
         Failure classification: ``"error"`` (the point raised),
         ``"timeout"`` (every attempt exceeded its wall-clock budget),
         ``"crash"`` (the point kept killing workers and was never
-        quarantined), or ``"poison"`` (quarantined to in-process serial
+        quarantined), or ``"poison"`` (quarantined to in-process
         execution and failed there too).
     attempts : int
-        Attempts consumed, the quarantined serial attempt included.
+        Attempts consumed, the quarantined in-process attempt included.
     exception : str
         Exception class name of the last attempt (empty for crashes).
     message : str
@@ -182,7 +185,7 @@ class RetryPolicy:
         capped at two seconds per wait).
     quarantine_after : int
         Worker crashes after which a point is quarantined and degraded
-        to in-process serial execution instead of being re-dispatched.
+        to in-process execution instead of being re-dispatched.
     fail_fast : bool
         Stop the batch at the first terminal failure instead of
         finishing the remaining points.
@@ -222,7 +225,7 @@ class FaultPlan:
     only ever fire inside worker processes — applying them in the
     supervising process would kill or stall the whole sweep, which is
     exactly what the resilience layer exists to prevent — while error
-    faults fire anywhere, so the serial engine path retries too.
+    faults fire anywhere, so in-process attempts retry too.
 
     Attributes
     ----------
@@ -478,14 +481,6 @@ class SweepJournal:
             return False
         return True
 
-    def close(self) -> None:
-        """Release the journal (entries stay replayable in memory).
-
-        Appends open and close the file per record, so this only exists
-        for symmetry with :meth:`discard` — callers may treat a closed
-        journal exactly like an open one.
-        """
-
     def discard(self) -> None:
         """Delete the journal after a cleanly completed sweep."""
         self._entries.clear()
@@ -572,36 +567,6 @@ class Task:
         )
 
 
-class SupervisorHooks:
-    """Observer interface the engine implements; every hook is a no-op.
-
-    The supervisor calls these as scheduling events happen, so the
-    engine can feed progress lines, telemetry spans, metrics, the run
-    cache and the journal without the supervisor knowing any of them.
-    """
-
-    def attempt_started(self, task: Task) -> None:
-        """One attempt of ``task`` was dispatched to a worker."""
-
-    def attempt_failed(self, task: Task, kind: str) -> None:
-        """The running attempt failed (``kind``: error/timeout/crash)."""
-
-    def retrying(self, task: Task, kind: str) -> None:
-        """``task`` was re-queued after a failed attempt."""
-
-    def quarantined(self, task: Task) -> None:
-        """``task`` crashed too often and will run in-process."""
-
-    def worker_restarted(self, pid: int) -> None:
-        """A dead worker (former ``pid``) was replaced."""
-
-    def completed(self, task: Task, result: RunResult, pid: int, wall_s: float) -> None:
-        """``task`` finished; ``result`` came from worker ``pid``."""
-
-    def failed(self, failure: PointFailure) -> None:
-        """``task`` is terminally failed."""
-
-
 def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
     """Worker-process loop: receive points, simulate, send results back.
 
@@ -665,56 +630,65 @@ class _Worker:
 
 
 class Supervisor:
-    """Crash-, hang- and error-surviving scheduler over worker processes.
+    """The engine's one scheduler: crash-, hang- and error-surviving.
 
-    Dispatches :class:`Task` objects to a pool of long-lived workers,
-    each owning a private duplex pipe (so a dying worker can never
-    corrupt a shared queue), and applies a :class:`RetryPolicy` to
-    every failure:
+    Runs the :class:`Task` objects of one batch and applies a
+    :class:`RetryPolicy` to every failed attempt.  With ``jobs > 1``
+    tasks go to a pool of long-lived workers, each owning a private
+    duplex pipe (so a dying worker can never corrupt a shared queue);
+    with ``jobs == 1`` no worker is spawned and every task runs
+    in-process through the same routine that runs quarantined points.
 
-    - a clean exception in a worker retries with backoff up to
-      ``max_retries``, then becomes a terminal ``"error"`` failure;
-    - an attempt past its wall-clock budget gets its worker killed
-      (the only way to stop a hung simulation), retries, and becomes a
-      terminal ``"timeout"`` failure when the budget never suffices;
+    - a raising attempt retries with backoff up to ``max_retries``,
+      then becomes a terminal ``"error"`` failure;
+    - a pooled attempt past its wall-clock budget gets its worker
+      killed (the only way to stop a hung simulation), retries, and
+      becomes a terminal ``"timeout"`` failure when the budget never
+      suffices — in-process attempts cannot be killed, so timeouts are
+      pool-only;
     - a worker death (pipe EOF without a result) restarts the worker
       and re-dispatches only the in-flight point; a point that crashes
-      workers ``quarantine_after`` times is degraded to in-process
-      serial execution — success there completes it normally, failure
-      classifies it ``"poison"``.
+      workers ``quarantine_after`` times runs in-process instead —
+      success there completes it normally, failure classifies it
+      ``"poison"``.
 
-    The supervisor never raises for point failures — they are returned
-    — but ``KeyboardInterrupt`` (the CLI's ``SIGINT``/``SIGTERM`` path)
-    kills all workers immediately and propagates, leaving completed
-    points checkpointed by the engine's hooks.
+    Every scheduling event — attempt started or failed, retry,
+    quarantine, worker restart, completion, terminal failure — is
+    reported to the engine's per-batch object, which owns progress,
+    telemetry, metrics, the run cache and the journal.  Point failures
+    never raise, but ``KeyboardInterrupt`` (the CLI's
+    ``SIGINT``/``SIGTERM`` path) kills all workers immediately and
+    propagates, leaving completed points checkpointed.
 
     Parameters
     ----------
     jobs : int
-        Maximum concurrent worker processes.
+        Maximum concurrent worker processes; ``1`` runs in-process.
     policy : RetryPolicy
         Retry/timeout/quarantine bounds.
     fault_plan : FaultPlan, optional
-        Chaos plan forwarded to workers (and to quarantined in-process
-        attempts, error faults only).
-    hooks : SupervisorHooks, optional
-        Scheduling-event observer (default: no-ops).
+        Chaos plan forwarded to workers (and to in-process attempts,
+        error faults only).
+    batch : repro.exec.engine._Batch
+        The engine's observer of this batch.
     """
 
     def __init__(
         self,
         jobs: int,
         policy: RetryPolicy,
-        fault_plan: Optional[FaultPlan] = None,
-        hooks: Optional[SupervisorHooks] = None,
+        fault_plan: Optional[FaultPlan],
+        batch: "_Batch",
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.policy = policy
         self.fault_plan = fault_plan
-        self.hooks = hooks if hooks is not None else SupervisorHooks()
+        self.batch = batch
+        self.pooled = self.jobs > 1
         self._ctx = get_context()
         self._workers: List[_Worker] = []
-        self._restarts = 0
+        self._queue: deque = deque()
+        self._failed = 0
 
     # -- worker lifecycle ------------------------------------------------
 
@@ -763,69 +737,74 @@ class Supervisor:
 
     # -- scheduling ------------------------------------------------------
 
-    def run(self, tasks: List[Task]) -> List[PointFailure]:
+    def run(self, tasks: List[Task]) -> None:
         """Execute every task, surviving crashes, hangs and errors.
 
-        Completed results are delivered through
-        :meth:`SupervisorHooks.completed` as they finish; this method
-        returns only the terminal failures (empty for a clean batch).
+        Completed results and terminal failures are delivered to the
+        batch as they happen.  With ``fail_fast`` the run stops at this
+        batch's first terminal failure, leaving later tasks unrun.
 
         Parameters
         ----------
         tasks : list of Task
             Unique cache-missing points of one batch.
-
-        Returns
-        -------
-        list of PointFailure
-            Terminal failures, in the order they were declared.
         """
-        queue: deque = deque(tasks)
-        failures: List[PointFailure] = []
+        self._queue = deque(tasks)
+        self._failed = 0
         outstanding = len(tasks)
         try:
-            for _ in range(min(self.jobs, len(tasks))):
-                self._spawn()
-            while outstanding > len(failures):
-                now = time.monotonic()
-                outstanding -= self._dispatch(queue, failures, now)
-                if self.policy.fail_fast and failures:
+            if self.pooled:
+                for _ in range(min(self.jobs, len(tasks))):
+                    self._spawn()
+            while True:
+                outstanding -= self._dispatch()
+                if outstanding <= self._failed or self._stopped():
                     break
-                if outstanding <= len(failures):
-                    break
-                self._ensure_workers(queue)
+                if not self.pooled:
+                    time.sleep(self._wait_timeout(time.monotonic()))
+                    continue
+                self._ensure_workers()
                 ready = connection.wait(
-                    [w.conn for w in self._workers], self._wait_timeout(queue, now)
+                    [w.conn for w in self._workers], self._wait_timeout(time.monotonic())
                 )
                 for conn in ready:
                     worker = next((w for w in self._workers if w.conn is conn), None)
                     if worker is not None:
-                        outstanding -= self._drain(worker, queue, failures)
-                outstanding -= self._expire(queue, failures, time.monotonic())
-            self._shutdown(force=bool(failures and self.policy.fail_fast))
+                        outstanding -= self._drain(worker)
+                self._expire(time.monotonic())
+            self._shutdown(force=self._stopped())
         except BaseException:
             self._shutdown(force=True)
             raise
-        return failures
 
-    def _dispatch(self, queue: deque, failures: List[PointFailure], now: float) -> int:
-        """Hand queued tasks to idle workers; run quarantined ones inline.
+    def _stopped(self) -> bool:
+        """Whether ``fail_fast`` ends this batch (it has a terminal failure)."""
+        return self.policy.fail_fast and self._failed > 0
+
+    def _quarantined(self, task: Task) -> bool:
+        """Whether ``task`` crashed workers often enough to run in-process."""
+        return task.crashes > 0 and task.crashes >= self.policy.quarantine_after
+
+    def _dispatch(self) -> int:
+        """Hand ready tasks to idle workers, or run them in-process.
 
         Returns
         -------
         int
-            Tasks completed inline (quarantined successes).
+            Tasks completed in-process.
         """
         done = 0
         idle = [w for w in self._workers if w.task is None]
         deferred: List[Task] = []
-        while queue:
+        queue = self._queue
+        while queue and not self._stopped():
             task = queue[0]
+            now = time.monotonic()
             if task.not_before > now:
                 break
-            if task.crashes >= self.policy.quarantine_after and task.crashes > 0:
+            if not self.pooled or self._quarantined(task):
                 queue.popleft()
-                done += self._run_quarantined(task, failures)
+                done += self._run_inline(task)
                 continue
             if not idle:
                 break
@@ -840,25 +819,31 @@ class Supervisor:
                 task.attempts -= 1
                 deferred.append(task)
                 worker.killed = False
-                self._on_worker_death(worker, queue, failures)
+                self._on_worker_death(worker)
                 continue
             worker.task = task
             worker.deadline = None if task.timeout is None else now + task.timeout
-            self.hooks.attempt_started(task)
+            self.batch.attempt_started(task)
         for task in deferred:
             queue.appendleft(task)
         return done
 
-    def _run_quarantined(self, task: Task, failures: List[PointFailure]) -> int:
-        """Last resort: execute a poison point in the supervising process.
+    def _run_inline(self, task: Task) -> int:
+        """Run one attempt of ``task`` in the supervising process.
+
+        Serves every task of a worker-less run (``jobs == 1``) and the
+        quarantined points of a pool.  No wall-clock budget applies: a
+        hung in-process attempt cannot be killed.
 
         Returns
         -------
         int
-            1 when the task completed, 0 when it terminally failed.
+            1 when the task completed, 0 when the attempt failed.
         """
-        self.hooks.quarantined(task)
+        if self._quarantined(task):
+            self.batch.quarantined(task)
         task.attempts += 1
+        self.batch.attempt_started(task)
         started = time.monotonic()
         try:
             if self.fault_plan is not None:
@@ -866,30 +851,28 @@ class Supervisor:
             result = execute_point(task.point)
         except Exception as exc:
             task.last_error = (
-                "poison",
+                "error",
                 type(exc).__name__,
                 str(exc),
                 traceback_module.format_exc(),
                 os.getpid(),
             )
-            self.hooks.attempt_failed(task, "error")
-            failures.append(task.failure("poison"))
-            self.hooks.failed(failures[-1])
+            self._retry_or_fail(task, "error")
             return 0
-        self.hooks.completed(task, result, os.getpid(), time.monotonic() - started)
+        self.batch.completed(task, result, os.getpid(), time.monotonic() - started)
         return 1
 
-    def _wait_timeout(self, queue: deque, now: float) -> float:
+    def _wait_timeout(self, now: float) -> float:
         """Poll interval until the next deadline or backoff expiry."""
         horizon = 10.0
         for worker in self._workers:
             if worker.deadline is not None:
                 horizon = min(horizon, worker.deadline - now)
-        for task in queue:
+        for task in self._queue:
             horizon = min(horizon, task.not_before - now)
         return max(_MIN_WAIT, horizon)
 
-    def _drain(self, worker: _Worker, queue: deque, failures: List[PointFailure]) -> int:
+    def _drain(self, worker: _Worker) -> int:
         """Process one ready pipe: a result, an error, or a death.
 
         Returns
@@ -900,7 +883,7 @@ class Supervisor:
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
-            self._on_worker_death(worker, queue, failures)
+            self._on_worker_death(worker)
             return 0
         task = worker.task
         worker.task = None
@@ -909,16 +892,14 @@ class Supervisor:
             return 0  # late message from a worker already written off
         if message[0] == "ok":
             _, _, pid, wall, result = message
-            self.hooks.completed(task, result, pid, wall)
+            self.batch.completed(task, result, pid, wall)
             return 1
         _, _, pid, wall, exc_name, exc_message, tb = message
         task.last_error = ("error", exc_name, exc_message, tb, pid)
-        self._retry_or_fail(task, "error", queue, failures)
+        self._retry_or_fail(task, "error")
         return 0
 
-    def _on_worker_death(
-        self, worker: _Worker, queue: deque, failures: List[PointFailure]
-    ) -> None:
+    def _on_worker_death(self, worker: _Worker) -> None:
         """Reap a dead worker; reschedule its in-flight task."""
         task = worker.task
         killed = worker.killed
@@ -934,7 +915,7 @@ class Supervisor:
                 "",
                 pid,
             )
-            self._retry_or_fail(task, "timeout", queue, failures)
+            self._retry_or_fail(task, "timeout")
         else:
             task.crashes += 1
             exitcode = worker.process.exitcode
@@ -945,41 +926,39 @@ class Supervisor:
                 "",
                 pid,
             )
-            self._retry_or_fail(task, "crash", queue, failures)
+            self._retry_or_fail(task, "crash")
 
-    def _retry_or_fail(
-        self, task: Task, kind: str, queue: deque, failures: List[PointFailure]
-    ) -> None:
-        """Apply the retry policy to one failed attempt."""
-        self.hooks.attempt_failed(task, kind)
-        quarantine_bound = kind == "crash" and task.crashes >= self.policy.quarantine_after
+    def _retry_or_fail(self, task: Task, kind: str) -> None:
+        """Apply the retry policy to one failed attempt, inline or pooled.
+
+        A quarantined task is re-queued after the crash that quarantined
+        it (to run in-process next) and terminally ``"poison"`` when its
+        in-process attempt fails.
+        """
+        self.batch.attempt_failed(task, kind)
+        quarantined = self._quarantined(task)
+        if quarantined and kind == "error":
+            kind = "poison"
         exhausted = task.attempts > self.policy.max_retries or task.invalid_input
-        if exhausted and not quarantine_bound:
-            failures.append(task.failure(kind))
-            self.hooks.failed(failures[-1])
+        if kind == "poison" or (exhausted and not quarantined):
+            self._failed += 1
+            self.batch.failed(task.failure(kind))
             return
         task.not_before = time.monotonic() + self.policy.backoff(task.attempts)
-        queue.append(task)
-        self.hooks.retrying(task, kind)
+        self._queue.append(task)
+        self.batch.retrying(task, kind)
 
-    def _expire(self, queue: deque, failures: List[PointFailure], now: float) -> int:
+    def _expire(self, now: float) -> None:
         """Kill workers whose task exceeded its wall-clock budget."""
         for worker in self._workers:
             if worker.task is not None and worker.deadline is not None and now > worker.deadline:
                 worker.killed = True
                 worker.process.kill()
-        return 0
 
-    def _ensure_workers(self, queue: deque) -> None:
+    def _ensure_workers(self) -> None:
         """Respawn workers up to ``jobs`` while work remains."""
         busy = sum(1 for w in self._workers if w.task is not None)
-        wanted = min(self.jobs, busy + len(queue))
+        wanted = min(self.jobs, busy + len(self._queue))
         while len(self._workers) < wanted:
             self._spawn()
-            self._restarts += 1
-            self.hooks.worker_restarted(0)
-
-    @property
-    def restarts(self) -> int:
-        """Workers respawned after a death (initial spawns excluded)."""
-        return self._restarts
+            self.batch.worker_restarted()

@@ -124,18 +124,6 @@ class Probe:
         ``fault_refill``) or the record-only ``line_retired``.
         """
 
-    # -- experiment-engine reporters -----------------------------------
-
-    def exec_point(self, label: str, status: str, index: int, total: int, elapsed: float) -> None:
-        """One sweep point completed in the execution engine.
-
-        ``status`` is ``"hit"`` (replayed from the run cache) or
-        ``"run"`` (freshly simulated); ``index``/``total`` locate the
-        point in its batch and ``elapsed`` is its wall-clock seconds.
-        This is batch-level progress, not simulated time, so it is
-        record-only and never charged to the cycle ledger.
-        """
-
 
 class NullProbe(Probe):
     """The zero-overhead default probe (see :data:`NULL_PROBE`)."""
@@ -203,8 +191,6 @@ class RecordingProbe(Probe):
         self.ledger = CycleLedger()
         self.histograms = LatencyHistograms()
         self.events: List[ProbeEvent] = []
-        #: Execution-engine counters: points seen per status (hit/run).
-        self.exec_counters: Dict[str, int] = {}
         self.dropped_events = 0
         self.record_events = record_events
         self.max_events = max_events
@@ -351,14 +337,3 @@ class RecordingProbe(Probe):
             self._attrs.append((kind, cycles))
         self.histograms.add(f"{level}.{kind}", cycles)
         self._emit(now, cycles, level, kind, addr)
-
-    def exec_point(self, label: str, status: str, index: int, total: int, elapsed: float) -> None:
-        self.exec_counters[status] = self.exec_counters.get(status, 0) + 1
-        self._emit(
-            float(index),
-            0.0,
-            "exec",
-            f"point_{status}",
-            None,
-            {"label": label, "total": total, "elapsed_s": elapsed},
-        )

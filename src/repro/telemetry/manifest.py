@@ -9,8 +9,9 @@ or reproduced:
 - the package version and the whole-source :func:`~repro.exec.cache.
   code_fingerprint` (the same value hashed into every cache key);
 - host information (platform, Python, hostname, cpu count);
-- the engine configuration and its final :class:`~repro.exec.engine.
-  ExecStats` counters plus the metrics-registry snapshot;
+- the engine configuration, its final :class:`~repro.exec.engine.
+  ExecStats` (a view of the metrics registry) and the full
+  metrics-registry snapshot;
 - per point: label, kernel, configuration front-end/technology,
   optimization level, dataset size, fault seed, content-addressed cache
   key, hit/run status, executing worker pid and wall seconds;
@@ -24,7 +25,6 @@ so the format is load-bearing, not decorative.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -249,7 +249,7 @@ def build_manifest(
         "engine": {
             "jobs": engine.jobs,
             "cache_dir": str(engine.cache.root) if engine.cache is not None else None,
-            "stats": dataclasses.asdict(stats),
+            "stats": stats.as_dict(),
         },
         "metrics": engine.metrics.snapshot(),
         "technologies": dict(sorted(engine.technologies.items())),

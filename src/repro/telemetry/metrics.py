@@ -2,11 +2,14 @@
 
 A :class:`MetricsRegistry` is a plain in-memory accumulator: the
 execution engine counts run-cache hits/misses/stale/corrupt entries,
-observes per-point wall time and queue depth, and gauges worker
-configuration into one registry per engine.  The registry is always on
-— updates are one dict operation per *point* (not per simulated event),
-so the cost is invisible next to a simulation — and is surfaced through
-``ExecStats.summary()``, the run manifest and ``repro status``.
+executions, retries, failures and worker restarts, observes per-point
+and per-batch wall time, and gauges queue depth and utilization into
+one registry per engine.  It is the engine's only counter store —
+:class:`~repro.exec.engine.ExecStats` reads it.  The registry is always
+on — updates are one dict operation per *point* (not per simulated
+event), so the cost is invisible next to a simulation — and is surfaced
+through ``ExecutionEngine.summary()``, the run manifest and ``repro
+status``.
 """
 
 from __future__ import annotations

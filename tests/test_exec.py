@@ -27,7 +27,6 @@ from repro.exec.cache import decode_result, encode_result
 from repro.exec.point import execute_point
 from repro.experiments import ExperimentRunner
 from repro.experiments.runner import CONFIGURATIONS
-from repro.obs import RecordingProbe
 from repro.reliability.faults import ReliabilityConfig
 from repro.transforms.pipeline import OptLevel
 
@@ -168,15 +167,6 @@ class TestEngine:
         assert engine.run_points(self.POINTS) == serial
         assert engine.stats.hits == 0
         assert "cache off" in engine.summary()
-
-    def test_probe_counts_hits_and_runs(self, tmp_path):
-        cache_dir = str(tmp_path / "c")
-        probe = RecordingProbe(record_events=True)
-        ExecutionEngine(jobs=1, cache_dir=cache_dir, probe=probe).run_points([point()])
-        ExecutionEngine(jobs=1, cache_dir=cache_dir, probe=probe).run_points([point()])
-        assert probe.exec_counters == {"run": 1, "hit": 1}
-        kinds = {e.kind for e in probe.events if e.source == "exec"}
-        assert kinds == {"point_run", "point_hit"}
 
     def test_progress_stream(self, tmp_path):
         import io

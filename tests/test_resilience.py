@@ -244,6 +244,47 @@ class TestChaos:
         assert engine.run_points(_points()) == reference
         assert engine.stats.retries == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_stops_only_its_own_batch(self, tmp_path, reference, jobs):
+        """A fail-fast stop names its point and never leaks into later batches."""
+        engine = ExecutionEngine(
+            jobs=jobs,
+            policy=RetryPolicy(max_retries=0, fail_fast=True),
+            fault_plan=FaultPlan(errors={1: 1}),
+        )
+        with pytest.raises(SweepFailure) as excinfo:
+            engine.run_points(_points()[:4])
+        (failure,) = excinfo.value.failures
+        assert failure.label == _points()[1].display()
+        engine.fault_plan = None
+        later = engine.run_points_detailed(_points()[4:])
+        assert later.ok
+        assert later.results == reference[4:]
+        assert engine.run_points(_points()[4:]) == reference[4:]
+
+    def test_retry_telemetry_is_the_same_inline_and_pooled(self, tmp_path):
+        """Both job counts write the same span and event records for a retry."""
+        from repro.telemetry import TelemetryRecorder, read_events
+
+        shapes = []
+        for jobs in (1, 2):
+            rec = TelemetryRecorder(tmp_path / f"tele{jobs}")
+            engine = ExecutionEngine(
+                jobs=jobs,
+                telemetry=rec,
+                policy=RetryPolicy(backoff_s=0.01),
+                fault_plan=FaultPlan(errors={1: 1}),
+            )
+            engine.run_points(_points()[:4])
+            rec.close()
+            records = read_events(rec.path)
+            begins = {r["span"] for r in records if r["kind"] == "span_begin"}
+            ends = {r["span"] for r in records if r["kind"] == "span_end"}
+            assert begins == ends
+            shapes.append(sorted((r["kind"], str(r.get("name"))) for r in records))
+        assert shapes[0] == shapes[1]
+        assert ("event", "point_attempt") in shapes[0]
+
 
 class TestInterruptAndResume:
     def _spawn(self, cwd, *extra):
