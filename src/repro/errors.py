@@ -55,8 +55,9 @@ class SweepFailure(SimulationError):
 
     Raised by :meth:`repro.exec.engine.ExecutionEngine.run_points` after
     the resilience layer exhausted its retry/timeout/quarantine budget
-    for at least one point.  The completed points *were* executed (and
-    cached/journaled), so re-running the same command only retries the
+    for at least one point.  The completed points *were* executed and
+    stored (in the run cache, or in the checkpoint journal under
+    ``--no-cache``), so re-running the same command only retries the
     failed ones.
 
     Attributes:

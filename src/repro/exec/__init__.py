@@ -13,15 +13,16 @@ loop into a scheduled batch:
   results as atomic JSON entries (:class:`RunCache`);
 - :mod:`repro.exec.engine` replays cache hits instantly and hands the
   cache-missing points to one scheduler (:class:`ExecutionEngine`, CLI
-  ``--jobs N``) with deterministic, input-ordered results, persisting
-  each completion so interrupted sweeps resume;
+  ``--jobs N``) with deterministic, input-ordered results, storing
+  each completion in the cache — or, under ``--no-cache``, in a journal
+  :class:`RunCache` rooted at :data:`DEFAULT_JOURNAL_DIR` — so
+  ``SIGINT``/``SIGTERM``-interrupted sweeps resume;
 - :mod:`repro.exec.resilience` supplies that scheduler and its failure
   machinery: the :class:`Supervisor` (in-process for ``jobs=1``, else
   a crash-surviving worker pool), per-point timeouts, retry with
   exponential backoff (:class:`RetryPolicy`), poison-point quarantine,
-  structured :class:`PointFailure` records, the :class:`SweepJournal`
-  checkpoint that makes ``SIGINT``/``SIGTERM`` resumable, and the
-  :class:`FaultPlan` chaos injection the resilience tests drive.
+  structured :class:`PointFailure` records, and the :class:`FaultPlan`
+  chaos injection the resilience tests drive.
 
 The engine plugs into
 :class:`~repro.experiments.runner.ExperimentRunner` (``engine=`` or the
@@ -50,7 +51,6 @@ from .resilience import (
     PointFailure,
     RetryPolicy,
     Supervisor,
-    SweepJournal,
     estimate_point_cost,
 )
 
@@ -69,7 +69,6 @@ __all__ = [
     "RunCache",
     "RunPoint",
     "Supervisor",
-    "SweepJournal",
     "cache_key_of",
     "code_fingerprint",
     "estimate_point_cost",

@@ -439,6 +439,27 @@ class RunCache:
                 return
             raise
 
+    def clear(self) -> None:
+        """Delete every live entry, then the directories left empty.
+
+        Never removes ``root`` recursively: files the cache did not
+        write, and the directories holding them, stay.  Failures are
+        ignored — a leftover entry is only a stale checkpoint.
+        """
+        directories = set()
+        for entry in self.entries():
+            if entry == self.path_for(entry.stem):
+                directories.add(entry.parent)
+                try:
+                    entry.unlink()
+                except OSError:
+                    pass
+        for directory in sorted(directories) + [self.root]:
+            try:
+                directory.rmdir()  # only once empty
+            except OSError:
+                pass
+
     def quarantine(self, key: str, reason: str) -> Optional[pathlib.Path]:
         """Move a damaged entry into ``.quarantine/`` with a reason file.
 

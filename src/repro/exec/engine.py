@@ -7,17 +7,17 @@ of how the work was scheduled:
 
 1. every point's content-addressed key is computed
    (:func:`~repro.exec.cache.cache_key_of`) and looked up in the
-   :class:`~repro.exec.cache.RunCache` — hits replay from disk, and the
-   checkpoint journal of an interrupted previous sweep
-   (:class:`~repro.exec.resilience.SweepJournal`) replays next, so a
-   resumed run executes only the points that never finished;
+   :class:`~repro.exec.cache.RunCache` — hits replay from disk, so a
+   resumed run executes only the points that never finished (with the
+   cache off, a journal ``RunCache`` plays the same part);
 2. the remaining points are deduplicated by key (a figure batch shares
    one SRAM baseline across configurations) and handed to the
    :class:`~repro.exec.resilience.Supervisor`, the one scheduler — it
    runs them in-process when ``jobs == 1`` or the batch has one such
    point, else on a crash-surviving pool of ``jobs`` workers;
-3. each result is persisted to the cache and the journal the moment it
-   completes, so an interrupted sweep resumes from the finished points.
+3. each result is stored in the cache (or, with the cache off, the
+   journal) the moment it completes, so an interrupted sweep resumes
+   from the finished points — the result store is the checkpoint.
 
 Failure handling follows the :class:`~repro.exec.resilience.RetryPolicy`
 (`--timeout`/`--max-retries`/`--fail-fast`): worker deaths restart only
@@ -30,7 +30,8 @@ become structured :class:`~repro.exec.resilience.PointFailure` records —
 alongside the failures.  Stale or corrupt cache entries are quarantined
 (:meth:`~repro.exec.cache.RunCache.quarantine`) and recomputed; a cache
 that stops accepting writes (disk full, permissions) degrades the sweep
-to cache-off mode with one structured warning.  The failure model is
+to cache-off mode with one structured warning (and stops
+checkpointing).  The failure model is
 specified in ``docs/ARCHITECTURE.md`` §2.12.
 
 Because :func:`~repro.exec.point.execute_point` is deterministic and
@@ -72,7 +73,6 @@ from .resilience import (
     PointFailure,
     RetryPolicy,
     Supervisor,
-    SweepJournal,
     Task,
     estimate_point_cost,
     scale_timeouts,
@@ -110,7 +110,8 @@ class ExecStats:
         Points replayed from the run cache [``cache.hit``].
     misses : int
         Points not found in the cache (``journal_hits`` + ``executed``
-        + ``deduplicated`` + ``failed``) [``cache.miss``].
+        + ``deduplicated`` + ``failed``, plus the points a ``fail_fast``
+        stop left unrun) [``cache.miss``].
     journal_hits : int
         Cache-missing points replayed from the checkpoint journal of an
         interrupted previous sweep, within ``misses`` [``journal.replay``].
@@ -244,8 +245,9 @@ class _Batch:
 
     The :class:`~repro.exec.resilience.Supervisor` calls these methods
     as scheduling events happen, for in-process and pooled attempts
-    alike; they feed the engine's metrics, telemetry, progress stream,
-    run cache and journal, and fill the batch's result slots.
+    alike; they feed the engine's metrics, telemetry, progress stream
+    and result store (the run cache, or the journal when the cache is
+    off), and fill the batch's result slots.
     """
 
     def __init__(
@@ -328,7 +330,6 @@ class _Batch:
         engine.metrics.count("exec.executed")
         engine.metrics.observe("exec.point_wall_s", wall_s)
         engine._store(task.key, result, entry.point)
-        engine._journal_record(task.key, result)
         for i in entry.indices:
             self.results[i] = result
         tele = engine.telemetry
@@ -383,8 +384,9 @@ class ExecutionEngine:
         bit-identical either way.
     cache_dir : str or pathlib.Path, optional
         Run-cache directory.  ``None`` disables the cache entirely
-        (every point recomputes; the checkpoint journal then lives in
-        :data:`~repro.exec.resilience.DEFAULT_JOURNAL_DIR`).
+        (every point recomputes, and ``journal_dir`` decides whether
+        completed points are checkpointed).  With a cache, the cache is
+        the checkpoint: an interrupted sweep resumes from its entries.
     progress : TextIO, optional
         Stream for one human-readable line per completed point (the CLI
         passes ``sys.stderr``); ``None`` silences progress output.
@@ -401,12 +403,13 @@ class ExecutionEngine:
     fault_plan : FaultPlan, optional
         Chaos-injection plan, used by the resilience test suite only.
     journal_dir : str or pathlib.Path, optional
-        Where the checkpoint journal lives when the cache is off (with
-        a cache it always sits in the cache root).  ``None`` disables
-        journaling for cache-less engines, keeping bare library use
-        free of filesystem side effects — the CLI passes
-        :data:`~repro.exec.resilience.DEFAULT_JOURNAL_DIR` so
-        ``--no-cache`` sweeps still resume.
+        Root of the checkpoint journal, a
+        :class:`~repro.exec.cache.RunCache` used only when ``cache_dir``
+        is ``None`` (ignored otherwise).  ``None`` disables journaling,
+        keeping bare library use free of filesystem side effects — the
+        CLI passes :data:`~repro.exec.resilience.DEFAULT_JOURNAL_DIR`
+        so ``--no-cache`` sweeps still resume.  :meth:`finish` removes
+        the journal's entries, never other files in the directory.
 
     Raises
     ------
@@ -443,9 +446,9 @@ class ExecutionEngine:
         #: keyed by technology name (canonicalized like the cache key
         #: material); collected only while ``telemetry.enabled``.
         self.technologies: Dict[str, Any] = {}
-        journal_root = self.cache.root if self.cache is not None else journal_dir
-        self.journal: Optional[SweepJournal] = (
-            SweepJournal(journal_root) if journal_root is not None else None
+        #: Checkpoint store of a cache-less engine (``None`` with a cache).
+        self.journal: Optional[RunCache] = (
+            RunCache(journal_dir) if self.cache is None and journal_dir is not None else None
         )
         self._cache_degraded = False
         self._corrupted_indices: set = set()
@@ -529,8 +532,9 @@ class ExecutionEngine:
             on its first attempt; the first one's message is raised).
         SweepFailure
             When at least one point failed terminally after exhausting
-            its retry budget.  Completed points were cached/journaled
-            before the raise, so re-running retries only the failures.
+            its retry budget.  Completed points were stored (cache or
+            journal) before the raise, so re-running retries only the
+            failures.
         """
         outcome = self.run_points_detailed(points)
         for failure in outcome.failures:
@@ -591,7 +595,7 @@ class ExecutionEngine:
                     self._report(point, "hit", i, total, 0.0)
                     continue
                 self.metrics.count("cache.miss")
-                journaled = self.journal.lookup(key) if self.journal is not None else None
+                journaled = self.journal.get(key) if self.journal is not None else None
                 if journaled is not None:
                     self._replay_journal(point, key, journaled, results, i, total)
                     continue
@@ -621,10 +625,12 @@ class ExecutionEngine:
 
         Called by the CLI after an experiment ran to the end with no
         terminal failures.  An interrupted or failed sweep never gets
-        here, so its journal survives for the resuming run.
+        here, so its journal survives for the resuming run.  Only the
+        journal's entries go (:meth:`~repro.exec.cache.RunCache.clear`);
+        anything else under ``journal_dir`` stays.
         """
         if self.journal is not None and not self.failures:
-            self.journal.discard()
+            self.journal.clear()
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -659,7 +665,6 @@ class ExecutionEngine:
         """Fill one slot from the interrupted-sweep checkpoint journal."""
         self.metrics.count("journal.replay")
         results[index] = result
-        self._store(key, result, point)  # heal the cache from the journal
         tele = self.telemetry
         if tele.enabled:
             self._record_point(point, key, "journal", os.getpid(), 0.0, tele.now(), result)
@@ -667,37 +672,35 @@ class ExecutionEngine:
         self._report(point, "journal", index, total, 0.0)
 
     def _store(self, key: str, result: RunResult, point: RunPoint) -> None:
-        """Persist one result to the cache, degrading to cache-off on error."""
-        if self.cache is None:
-            return
-        try:
-            self.cache.put(key, result, key_material_of(point))
-        except OSError as exc:
-            root = self.cache.root
-            self.cache = None
-            self._cache_degraded = True
-            self.metrics.count("cache.degraded")
-            log.warn(
-                f"run cache degraded to off: cannot write {root} "
-                f"({type(exc).__name__}: {exc}); the sweep continues uncached"
-            )
-            self.telemetry.warning(
-                "cache_degraded", root=str(root), error=f"{type(exc).__name__}: {exc}"
-            )
-
-    def _journal_record(self, key: str, result: RunResult) -> None:
-        """Checkpoint one completion, degrading to journal-off on error."""
-        if self.journal is None:
-            return
-        if not self.journal.record(key, result):
-            path = self.journal.path
-            self.journal = None
-            self.metrics.count("journal.degraded")
-            log.warn(
-                f"checkpoint journal degraded to off: cannot write {path}; "
-                "an interrupted sweep will not resume from this run"
-            )
-            self.telemetry.warning("journal_degraded", path=str(path))
+        """Persist one result to the cache or journal, degrading on error."""
+        if self.cache is not None:
+            try:
+                self.cache.put(key, result, key_material_of(point))
+            except OSError as exc:
+                root = self.cache.root
+                self.cache = None
+                self._cache_degraded = True
+                self.metrics.count("cache.degraded")
+                log.warn(
+                    f"run cache degraded to off: cannot write {root} "
+                    f"({type(exc).__name__}: {exc}); the sweep continues uncached "
+                    "and an interrupted run will not resume from it"
+                )
+                self.telemetry.warning(
+                    "cache_degraded", root=str(root), error=f"{type(exc).__name__}: {exc}"
+                )
+        elif self.journal is not None:
+            try:
+                self.journal.put(key, result)
+            except OSError:
+                root = self.journal.root
+                self.journal = None
+                self.metrics.count("journal.degraded")
+                log.warn(
+                    f"checkpoint journal degraded to off: cannot write {root}; "
+                    "an interrupted sweep will not resume from this run"
+                )
+                self.telemetry.warning("journal_degraded", path=str(root))
 
     def _note_cache_anomaly(self, status: str, key: str, point: RunPoint) -> None:
         """Count, report and quarantine one stale/corrupt cache entry."""

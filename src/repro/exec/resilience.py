@@ -22,11 +22,11 @@ module, so one failure model covers serial and parallel sweeps alike:
 - Terminal failures become structured :class:`PointFailure` records —
   exception, traceback, worker pid, attempt count — instead of an
   abort, so a partial sweep still returns every completed result.
-- :class:`SweepJournal` checkpoints completed points as an append-only
-  JSONL next to the run cache, flushed per completion, so an
-  interrupted sweep (``SIGINT``/``SIGTERM``, exit 130) resumes exactly
-  — including under ``--no-cache``, where the journal is the only
-  persistence.
+- The engine stores each completed point in the run cache the moment
+  it finishes (under ``--no-cache``, in a journal
+  :class:`~repro.exec.cache.RunCache` rooted at
+  :data:`DEFAULT_JOURNAL_DIR`), so an interrupted sweep
+  (``SIGINT``/``SIGTERM``, exit 130) resumes exactly.
 - :class:`FaultPlan` injects worker crashes, hangs, in-process errors
   and cache-entry corruption by point index — deterministic chaos in
   the spirit of the reliability subsystem's seeded fault injection —
@@ -35,38 +35,30 @@ module, so one failure model covers serial and parallel sweeps alike:
 
 The supervisor decides *when* and *where* a point runs; the engine's
 per-batch object (:class:`repro.exec.engine._Batch`) receives every
-scheduling event and owns progress, telemetry, metrics, the run cache
-and the journal.  See ``docs/ARCHITECTURE.md`` §2.12 for the failure
-model.
+scheduling event and owns progress, telemetry, metrics and the result
+store.  See ``docs/ARCHITECTURE.md`` §2.12 for the failure model.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import signal
 import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..cpu.model import RunResult
 from ..errors import ConfigurationError
 from ..workloads.ir import Loop
-from .cache import decode_result, encode_result
 from .point import RunPoint, build_point_program, execute_point
 
 if TYPE_CHECKING:
     from .engine import _Batch
 
-#: File name of the completed-point checkpoint journal.
-JOURNAL_FILENAME = "journal.jsonl"
-
-#: Journal directory used when the run cache is disabled (``--no-cache``
-#: sweeps still checkpoint, or they could never resume).
+#: Root of the checkpoint journal used when the run cache is disabled
+#: (``--no-cache`` sweeps still checkpoint, or they could never resume).
 DEFAULT_JOURNAL_DIR = ".repro-journal"
 
 #: Exit code a worker uses for an injected crash (distinguishable from
@@ -302,23 +294,13 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 
 
-def _affine_value(expr: Any, env: Dict[str, int]) -> int:
-    """Evaluate an int-or-affine loop bound at midpoint variable values."""
-    if isinstance(expr, int):
-        return expr
-    total = getattr(expr, "const", 0)
-    for var, coeff in getattr(expr, "coeffs", {}).items():
-        total += coeff * env.get(var.name, 0)
-    return int(total)
-
-
 def _walk_cost(nodes: Any, multiplier: int, env: Dict[str, int]) -> int:
     """Accumulated access-count estimate of an IR subtree."""
     total = 0
     for node in nodes:
         if isinstance(node, Loop):
-            lower = _affine_value(node.lower, env)
-            upper = _affine_value(node.upper, env)
+            lower = node.lower.evaluate(env)
+            upper = node.upper.evaluate(env)
             trips = max(1, upper - lower)
             inner_env = dict(env)
             inner_env[node.var.name] = lower + trips // 2
@@ -382,116 +364,6 @@ def scale_timeouts(costs: List[int], timeout: Optional[float]) -> List[Optional[
     if mean <= 0:
         mean = 1.0
     return [timeout * max(1.0, cost / mean) for cost in costs]
-
-
-# ----------------------------------------------------------------------
-# Checkpoint journal
-# ----------------------------------------------------------------------
-
-
-class SweepJournal:
-    """Append-only completed-point checkpoint next to the run cache.
-
-    One JSONL line per completed point — ``{"key": ..., "result": ...}``
-    in the cache's exact-round-trip encoding — flushed as each point
-    finishes, so the journal is current the instant a sweep is killed.
-    On the next run the engine replays journaled points without
-    recomputing them, which makes interrupted sweeps resume exactly
-    even when the run cache is disabled.  A journal is discarded when
-    its sweep completes cleanly (:meth:`discard`).
-
-    Damage tolerance mirrors the cache: unreadable lines (a write cut
-    short by ``SIGKILL``) are skipped, never fatal.  Write failures
-    (disk full, permissions) surface as a ``False`` return from
-    :meth:`record` so the engine can degrade to journal-off mode with
-    one warning instead of crashing the sweep.
-
-    Parameters
-    ----------
-    directory : str or pathlib.Path
-        Where ``journal.jsonl`` lives — the run-cache root when caching
-        is on, :data:`DEFAULT_JOURNAL_DIR` under ``--no-cache``.
-    """
-
-    def __init__(self, directory: Union[str, pathlib.Path]) -> None:
-        self.directory = pathlib.Path(directory)
-        self.path = self.directory / JOURNAL_FILENAME
-        self._entries: Dict[str, RunResult] = {}
-        self._load()
-
-    def _load(self) -> None:
-        """Read surviving entries of a previous interrupted sweep."""
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                self._entries[record["key"]] = decode_result(record["result"])
-            except (KeyError, TypeError, ValueError):
-                continue  # torn tail write of a killed sweep
-
-    def __len__(self) -> int:
-        """Number of journaled results currently replayable."""
-        return len(self._entries)
-
-    def lookup(self, key: str) -> Optional[RunResult]:
-        """Replay the journaled result under ``key``, if any.
-
-        Parameters
-        ----------
-        key : str
-            A content-addressed cache key.
-
-        Returns
-        -------
-        RunResult or None
-            The checkpointed result, bit-identical to the original run.
-        """
-        return self._entries.get(key)
-
-    def record(self, key: str, result: RunResult) -> bool:
-        """Checkpoint one completed point (append + flush).
-
-        Parameters
-        ----------
-        key : str
-            The point's cache key.
-        result : RunResult
-            The completed result.
-
-        Returns
-        -------
-        bool
-            ``False`` when the journal cannot be written (the caller
-            should degrade to journal-off mode); ``True`` otherwise.
-        """
-        self._entries[key] = result
-        line = json.dumps({"key": key, "result": encode_result(result)}, sort_keys=True)
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-        except OSError:
-            return False
-        return True
-
-    def discard(self) -> None:
-        """Delete the journal after a cleanly completed sweep."""
-        self._entries.clear()
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
-        try:
-            self.directory.rmdir()  # only if the journal was its sole content
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +527,7 @@ class Supervisor:
     Every scheduling event — attempt started or failed, retry,
     quarantine, worker restart, completion, terminal failure — is
     reported to the engine's per-batch object, which owns progress,
-    telemetry, metrics, the run cache and the journal.  Point failures
+    telemetry, metrics and the result store.  Point failures
     never raise, but ``KeyboardInterrupt`` (the CLI's
     ``SIGINT``/``SIGTERM`` path) kills all workers immediately and
     propagates, leaving completed points checkpointed.

@@ -120,6 +120,21 @@ class TestRunCache:
         assert cache.path_for(key) == tmp_path / "ef" / f"{key}.json"
         assert cache.entries() == [cache.path_for(key)]
 
+    def test_clear_removes_entries_and_keeps_foreign_files(self, tmp_path, result):
+        root = tmp_path / "journal"
+        cache = RunCache(root)
+        cache.put("ab" * 32, result)
+        cache.put("cd" * 32, result)
+        (root / "notes").mkdir()
+        (root / "notes" / "plan.json").write_text("{}")  # not an entry
+        cache.clear()
+        assert cache.entries() == [root / "notes" / "plan.json"]
+        assert sorted(p.name for p in root.iterdir()) == ["notes"]
+        (root / "notes" / "plan.json").unlink()
+        (root / "notes").rmdir()
+        cache.clear()
+        assert not root.exists()
+
 
 class TestEngine:
     POINTS = [

@@ -30,7 +30,6 @@ from repro.exec import (
     RetryPolicy,
     RunCache,
     RunPoint,
-    SweepJournal,
     cache_key_of,
     estimate_point_cost,
 )
@@ -99,32 +98,6 @@ class TestPolicyAndEstimates:
         data = failure.as_dict()
         assert data["kind"] == "timeout" and data["attempts"] == 3
         assert "timeout after 3 attempt(s)" in failure.describe()
-
-
-class TestSweepJournal:
-    def test_round_trip_is_bit_identical(self, tmp_path, reference):
-        journal = SweepJournal(tmp_path)
-        assert journal.record("k1", reference[0])
-        replayed = SweepJournal(tmp_path)
-        assert replayed.lookup("k1") == reference[0]
-        assert len(replayed) == 1
-
-    def test_torn_tail_line_is_tolerated(self, tmp_path, reference):
-        journal = SweepJournal(tmp_path)
-        journal.record("k1", reference[0])
-        with open(journal.path, "a") as handle:
-            handle.write('{"key": "k2", "result": {"cut mid-wri')  # SIGKILL artefact
-        survivor = SweepJournal(tmp_path)
-        assert survivor.lookup("k1") == reference[0]
-        assert survivor.lookup("k2") is None
-
-    def test_discard_removes_the_journal(self, tmp_path, reference):
-        journal = SweepJournal(tmp_path / "j")
-        journal.record("k1", reference[0])
-        assert journal.path.exists()
-        journal.discard()
-        assert not journal.path.exists()
-        assert len(SweepJournal(tmp_path / "j")) == 0
 
 
 class TestCacheHardening:
@@ -262,6 +235,30 @@ class TestChaos:
         assert later.results == reference[4:]
         assert engine.run_points(_points()[4:]) == reference[4:]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_cache_sweep_resumes_from_the_journal(self, tmp_path, reference, jobs):
+        """Without a cache, completed points are checkpointed and replayed."""
+        points = _points()[:4]
+        journal = tmp_path / "j"
+        first = ExecutionEngine(
+            jobs=jobs,
+            journal_dir=str(journal),
+            policy=RetryPolicy(max_retries=0),
+            fault_plan=FaultPlan(errors={1: 1}),
+        )
+        assert len(first.run_points_detailed(points).failures) == 1
+        first.finish()  # a failed sweep keeps its checkpoint
+        assert len(RunCache(journal).entries()) == len(points) - 1
+
+        resumed = ExecutionEngine(jobs=jobs, journal_dir=str(journal))
+        assert resumed.run_points(points) == reference[:4]
+        s = resumed.stats
+        assert s.journal_hits == len(points) - 1
+        assert s.executed == 1
+        assert s.misses == s.journal_hits + s.executed + s.deduplicated + s.failed
+        resumed.finish()
+        assert list(tmp_path.iterdir()) == []
+
     def test_retry_telemetry_is_the_same_inline_and_pooled(self, tmp_path):
         """Both job counts write the same span and event records for a retry."""
         from repro.telemetry import TelemetryRecorder, read_events
@@ -300,11 +297,12 @@ class TestInterruptAndResume:
 
     def test_sigint_checkpoints_then_resume_executes_only_the_rest(self, tmp_path):
         proc = self._spawn(tmp_path)
-        journal = tmp_path / ".cache" / "journal.jsonl"
-        # Interrupt mid-sweep: as soon as the first point is checkpointed,
-        # with more outstanding.  A fixed sleep races a fast host's sweep.
+        cache = tmp_path / ".cache"
+        # Interrupt mid-sweep: as soon as the first point is checkpointed
+        # (its cache entry written), with more outstanding.  A fixed sleep
+        # races a fast host's sweep.
         deadline = time.monotonic() + 120.0
-        while not (journal.exists() and journal.read_text().strip()):
+        while not list(cache.glob("*/*.json")):
             assert proc.poll() is None, "sweep finished before its first checkpoint"
             assert time.monotonic() < deadline, "no checkpoint within 120 s"
             time.sleep(0.02)
@@ -312,7 +310,7 @@ class TestInterruptAndResume:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == EXIT_INTERRUPTED, err.decode()
         assert b"resume" in err
-        assert journal.exists() and journal.read_text().strip()
+        assert not list(cache.rglob("journal.jsonl"))  # the cache is the checkpoint
 
         interrupted = json.loads((tmp_path / ".tele" / "manifest.json").read_text())
         done_before = {
@@ -330,7 +328,7 @@ class TestInterruptAndResume:
         # replays (cache hit), only the remainder executes.
         assert stats["hits"] >= len(done_before)
         assert 0 < stats["executed"] < stats["points"]
-        assert not journal.exists()  # discarded after the clean finish
+        assert not list(cache.rglob("journal.jsonl"))
 
     def test_keyboard_interrupt_maps_to_130_in_process(self, monkeypatch):
         """Satellite: KeyboardInterrupt routes through the error handler."""
