@@ -123,7 +123,9 @@ class ExecStats:
         Simulations actually run to completion [``exec.executed``].
     deduplicated : int
         Cache-missing points that shared a key with another point of the
-        same batch and were computed only once [``exec.deduplicated``].
+        same batch, or with one an earlier batch of this engine
+        checkpointed to or replayed from the journal, and were computed
+        (or replayed) only once [``exec.deduplicated``].
     retries : int
         Attempts re-dispatched after an error, timeout or worker crash
         [``exec.retries``].
@@ -450,6 +452,8 @@ class ExecutionEngine:
         self.journal: Optional[RunCache] = (
             RunCache(journal_dir) if self.cache is None and journal_dir is not None else None
         )
+        #: Keys this engine itself wrote to or replayed from :attr:`journal`.
+        self._journaled: set = set()
         self._cache_degraded = False
         self._corrupted_indices: set = set()
 
@@ -597,7 +601,13 @@ class ExecutionEngine:
                 self.metrics.count("cache.miss")
                 journaled = self.journal.get(key) if self.journal is not None else None
                 if journaled is not None:
-                    self._replay_journal(point, key, journaled, results, i, total)
+                    if key in self._journaled:
+                        # Served by an earlier batch of this engine: a
+                        # duplicate of a point already run or resumed.
+                        self.metrics.count("exec.deduplicated")
+                        results[i] = journaled
+                    else:
+                        self._replay_journal(point, key, journaled, results, i, total)
                     continue
                 if key in pending:
                     self.metrics.count("exec.deduplicated")
@@ -664,6 +674,7 @@ class ExecutionEngine:
     ) -> None:
         """Fill one slot from the interrupted-sweep checkpoint journal."""
         self.metrics.count("journal.replay")
+        self._journaled.add(key)
         results[index] = result
         tele = self.telemetry
         if tele.enabled:
@@ -692,6 +703,7 @@ class ExecutionEngine:
         elif self.journal is not None:
             try:
                 self.journal.put(key, result)
+                self._journaled.add(key)
             except OSError:
                 root = self.journal.root
                 self.journal = None

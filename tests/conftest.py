@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu.system import System, SystemConfig
+from repro.experiments import ExperimentRunner
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.mainmem import MainMemory
 from repro.transforms.pipeline import OptLevel, optimize
@@ -79,3 +80,9 @@ def dropin_system() -> System:
 def vwb_system() -> System:
     """The proposed STT-MRAM + VWB platform."""
     return System(SystemConfig(technology="stt-mram", frontend="vwb"))
+
+
+@pytest.fixture(scope="session")
+def claims_runner() -> ExperimentRunner:
+    """The 4-kernel runner the claim, validate and summary tests share."""
+    return ExperimentRunner(kernels=["gemm", "atax", "mvt", "2mm"])

@@ -1,4 +1,4 @@
-"""Repository-level consistency: registries, benches and docs agree."""
+"""Repository-level consistency: registries, results and docs agree."""
 
 import pathlib
 
@@ -12,15 +12,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestBenchCoverage:
-    def test_every_paper_artefact_has_a_bench(self):
-        bench_sources = "\n".join(
-            p.read_text() for p in (REPO / "benchmarks").glob("bench_*.py")
-        )
-        for name in PAPER_EXPERIMENTS:
-            module = name if name == "table1" else name
-            assert f"bench_{module}" in str(
-                list((REPO / "benchmarks").glob(f"bench_{module}.py"))
-            ) or module in bench_sources, name
+    """The experiment registry, the CLI and the committed tables agree."""
+
+    def test_results_files_match_the_registry(self):
+        """Each ``results/<name>.txt`` is what ``repro <name>`` prints."""
+        stems = {p.stem for p in (REPO / "results").glob("*.txt")}
+        assert stems <= set(EXPERIMENTS), stems - set(EXPERIMENTS)
+        assert set(PAPER_EXPERIMENTS) <= stems, set(PAPER_EXPERIMENTS) - stems
 
     def test_paper_experiments_subset_of_registry(self):
         assert set(PAPER_EXPERIMENTS) <= set(EXPERIMENTS)

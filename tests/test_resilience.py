@@ -256,8 +256,23 @@ class TestChaos:
         assert s.journal_hits == len(points) - 1
         assert s.executed == 1
         assert s.misses == s.journal_hits + s.executed + s.deduplicated + s.failed
+        resumed.run_points(points)  # a repeat counts as duplicates, not replays
+        assert s.journal_hits == len(points) - 1
+        assert s.deduplicated == len(points)
         resumed.finish()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_own_checkpoint_is_a_duplicate_not_a_replay(self, tmp_path, reference, jobs):
+        """A point this engine journaled in an earlier batch is deduplicated."""
+        engine = ExecutionEngine(jobs=jobs, journal_dir=str(tmp_path / "j"))
+        assert engine.run_points(_points()[:1]) == reference[:1]
+        assert engine.run_points(_points()[:1]) == reference[:1]
+        s = engine.stats
+        assert s.journal_hits == 0
+        assert s.executed == 1
+        assert s.deduplicated == 1
+        assert s.misses == s.journal_hits + s.executed + s.deduplicated + s.failed
 
     def test_retry_telemetry_is_the_same_inline_and_pooled(self, tmp_path):
         """Both job counts write the same span and event records for a retry."""

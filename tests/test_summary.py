@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.experiments import ExperimentRunner
 from repro.experiments.summary import SummaryRow, build_summary, render_summary, run
 
 
 @pytest.fixture(scope="module")
-def rows():
-    return build_summary(ExperimentRunner(kernels=["gemm", "atax", "mvt", "2mm"]))
+def rows(claims_runner):
+    return build_summary(claims_runner)
 
 
 class TestSummary:
@@ -32,8 +31,8 @@ class TestSummary:
         assert "n/a" in text
         assert "x" in text  # the ratio row's unit
 
-    def test_figure_adapter(self):
-        result = run(ExperimentRunner(kernels=["gemm", "atax", "mvt", "2mm"]))
+    def test_figure_adapter(self, claims_runner):
+        result = run(claims_runner)
         assert result.name == "summary"
         assert len(result.labels) == len(result.series["measured"])
 

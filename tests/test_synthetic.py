@@ -84,7 +84,40 @@ class TestGenerators:
             call()
 
 
+#: Access-pattern extremes the paper's affine kernels never reach.
+PATTERNS = {
+    "streaming": lambda: synthetic.streaming(bytes_total=32768, rounds=2),
+    "strided_256B": lambda: synthetic.strided(stride_bytes=256, accesses=4096),
+    "pointer_chase": lambda: synthetic.pointer_chase(working_set_bytes=16384, rounds=3),
+    "hot_cold_90_10": lambda: synthetic.hot_cold(accesses=8192, seed=11),
+    "random_256KB": lambda: synthetic.random_access(accesses=8192, seed=11),
+}
+
+
+def _penalties(pattern):
+    """(drop-in, VWB) penalty in percent over SRAM on one pattern."""
+    events = PATTERNS[pattern]()
+    sram = System(SystemConfig(technology="sram")).run(events)
+    dropin = System(SystemConfig(technology="stt-mram")).run(events)
+    vwb = System(SystemConfig(technology="stt-mram", frontend="vwb")).run(events)
+    return dropin.penalty_vs(sram), vwb.penalty_vs(sram)
+
+
 class TestSystemBehaviour:
+    def test_vwb_removes_most_of_the_streaming_penalty(self):
+        dropin, vwb = _penalties("streaming")
+        assert vwb < 0.6 * dropin
+
+    @pytest.mark.parametrize(
+        "pattern", ["strided_256B", "pointer_chase", "hot_cold_90_10", "random_256KB"]
+    )
+    def test_vwb_degradation_stays_bounded(self, pattern):
+        """Without spatial locality (or with random-order reuse, which
+        defeats the 2-line always-promote policy) the VWB cannot help,
+        but a promotion costs one wide read, never a blow-up."""
+        dropin, vwb = _penalties(pattern)
+        assert vwb < dropin + 40.0
+
     def test_vwb_loves_streaming(self):
         events = synthetic.streaming(bytes_total=32768, rounds=2)
         dropin = System(SystemConfig(technology="stt-mram")).run(events)

@@ -185,3 +185,4 @@ class TestAwareModel:
         result = run_aware_writes(ExperimentRunner(kernels=["gemm"]))
         avg = result.averages()
         assert abs(avg["dropin"] - avg["dropin_aware"]) < 2.0
+        assert avg["vwb"] < 0.6 * avg["dropin_aware"]

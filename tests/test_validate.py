@@ -7,8 +7,8 @@ from repro.experiments.validate import render_claims, run, validate
 
 
 @pytest.fixture(scope="module")
-def claims():
-    return validate(ExperimentRunner(kernels=["gemm", "atax", "mvt", "2mm"]))
+def claims(claims_runner):
+    return validate(claims_runner)
 
 
 class TestValidate:
@@ -18,23 +18,19 @@ class TestValidate:
         assert all(c.statement for c in claims)
 
     def test_core_claims_pass_on_subset(self, claims):
-        by_name = {c.name: c for c in claims}
-        for name in (
-            "fig1-dropin-average",
-            "fig3-vwb-reduction",
-            "fig5-final-penalty",
-            "fig9-gains",
-            "fig4-read-dominates",
-        ):
-            assert by_name[name].passed, by_name[name].detail
+        # fig3-not-enough (a >10% residue after the VWB alone) is a
+        # full-suite claim; results/validate.txt pins it there.
+        for claim in claims:
+            if claim.name != "fig3-not-enough":
+                assert claim.passed, f"{claim.name}: {claim.detail}"
 
     def test_render(self, claims):
         text = render_claims(claims)
         assert "PASS" in text
         assert "claims reproduced" in text
 
-    def test_figure_adapter(self):
-        result = run(ExperimentRunner(kernels=["gemm", "atax", "mvt", "2mm"]))
+    def test_figure_adapter(self, claims_runner):
+        result = run(claims_runner)
         assert result.name == "validate"
         assert set(result.series["passed"]) <= {0.0, 1.0}
 
