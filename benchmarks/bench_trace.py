@@ -3,9 +3,13 @@
 Four guards around :mod:`repro.workloads.encode` and the opcode-dispatch
 replay loop in :meth:`repro.cpu.model.InOrderCPU.run_encoded`:
 
-- building an :class:`~repro.workloads.encode.EncodedTrace` straight from
-  the generator must not cost meaningfully more than materialising the
-  event-object list it replaces;
+- the interpreter's cost per event of building an
+  :class:`~repro.workloads.encode.EncodedTrace`
+  (:func:`~repro.workloads.encode.encode_trace`), at
+  :attr:`~repro.transforms.pipeline.OptLevel.NONE` and at ``FULL``, is
+  recorded as ``encode_ns_per_event.none``/``.full``; encoding must be
+  no slower than materialising the event-object list, which decodes
+  the same columns;
 - replaying the encoded form through every named configuration must be
   at least :data:`MIN_REPLAY_SPEEDUP` times faster than object replay
   (the margin the ``trace-fastpath`` CI job enforces — locally the
@@ -32,6 +36,7 @@ from repro.cpu.system import warm_regions_of
 from repro.experiments.penalties import NVM_CONFIGS
 from repro.experiments.runner import make_system
 from repro.telemetry import metric
+from repro.transforms.pipeline import OptLevel, optimize
 from repro.workloads import build_kernel, kernel_names, materialize_trace
 from repro.workloads.encode import encode_trace
 
@@ -45,7 +50,6 @@ E2E_REPEATS = 2
 MIN_REPLAY_SPEEDUP = 2.0
 #: Headline end-to-end goal of the columnar-trace work (reported, not asserted).
 E2E_TARGET = 3.0
-MAX_ENCODE_OVERHEAD = 1.5
 #: Kernels whose working sets live in the arrays' LRU stacks almost
 #: entirely — where elimination covers >95% of the trace.
 HIGH_LOCALITY = ("gemm", "doitgen")
@@ -63,35 +67,34 @@ def _programs(kernels):
     return {name: build_kernel(name) for name in kernels}
 
 
-def test_encode_cost_within_budget(bench_metrics):
-    programs = _programs(THROUGHPUT_KERNELS)
-    for program in programs.values():  # warm generators/imports
-        materialize_trace(program)
-        encode_trace(program)
+def test_encode_cost_per_event(bench_metrics):
+    for level in (OptLevel.NONE, OptLevel.FULL):
+        programs = [optimize(p, level) for p in _programs(THROUGHPUT_KERNELS).values()]
+        events = sum(len(encode_trace(program)) for program in programs)  # also warms
+        enc_times, obj_times = [], []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            for program in programs:
+                encode_trace(program)
+            enc_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for program in programs:
+                materialize_trace(program)
+            obj_times.append(time.perf_counter() - start)
 
-    obj_times, enc_times = [], []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for program in programs.values():
-            materialize_trace(program)
-        obj_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        for program in programs.values():
-            encode_trace(program)
-        enc_times.append(time.perf_counter() - start)
-
-    ratio = min(enc_times) / min(obj_times)
-    bench_metrics.setdefault("trace", {})["encode_cost_ratio"] = metric(
-        ratio, unit="x", higher_is_better=False
-    )
-    print(
-        f"\nencode cost: best materialize {min(obj_times):.3f}s, "
-        f"best encode {min(enc_times):.3f}s, ratio {ratio:.3f}"
-    )
-    assert ratio <= MAX_ENCODE_OVERHEAD, (
-        f"encode_trace is {ratio:.3f}x materialize_trace "
-        f"(budget {MAX_ENCODE_OVERHEAD}x)"
-    )
+        ns_per_event = min(enc_times) * 1e9 / events
+        bench_metrics.setdefault("trace", {})[f"encode_ns_per_event.{level.value}"] = metric(
+            ns_per_event, unit="ns", higher_is_better=False
+        )
+        print(
+            f"\nencode cost at {level.name}: {ns_per_event:.0f} ns/event over {events} "
+            f"events, best encode {min(enc_times):.3f}s, best materialize "
+            f"{min(obj_times):.3f}s"
+        )
+        assert min(enc_times) <= min(obj_times), (
+            f"encode_trace ({min(enc_times):.3f}s) is slower than materialize_trace "
+            f"({min(obj_times):.3f}s), which decodes the same columns"
+        )
 
 
 def _replay_pass(material, encoded):

@@ -16,8 +16,8 @@ Kernels live in :mod:`repro.workloads.polybench`; each module builds a
 from .affine import Affine, Var
 from .ir import Array, Loop, Program, Ref, Statement, loop, stmt
 from .trace import Branch, Compute, Load, Prefetch, Store, TraceEvent, trace_summary
-from .interp import TraceConfig, generate_trace, materialize_trace
-from .encode import EncodedTrace, encode_events, encode_trace
+from .interp import TraceConfig
+from .encode import EncodedTrace, encode_events, encode_trace, materialize_trace
 from .datasets import DatasetSize, scale_for
 from .bounds import assert_in_bounds, check_bounds
 from .polybench import EXTRA_KERNELS, KERNELS, build_kernel, kernel_names
@@ -42,7 +42,6 @@ __all__ = [
     "TraceEvent",
     "trace_summary",
     "TraceConfig",
-    "generate_trace",
     "materialize_trace",
     "EncodedTrace",
     "encode_events",

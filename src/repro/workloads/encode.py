@@ -5,8 +5,8 @@ hundreds of thousands of allocations per kernel, megabytes of pointers,
 and a ``type()`` dispatch per event on every replay.  An
 :class:`EncodedTrace` stores the same event sequence as parallel columns:
 
-- ``opcodes`` — one byte per event (:data:`OP_LOAD` ... :data:`OP_MARK`),
-  in program order;
+- ``opcodes`` — one byte per event (:data:`OP_LOAD` ... :data:`OP_MARK`,
+  defined in :mod:`~repro.workloads.trace`), in program order;
 - per-kind integer operand columns (``array('q')``/``array('b')``):
   ``load_addrs``/``load_sizes``, ``store_addrs``/``store_sizes``,
   ``pf_addrs``, ``ops`` (compute) and ``taken`` (branches);
@@ -16,9 +16,13 @@ and a ``type()`` dispatch per event on every replay.  An
 The i-th event of kind K takes its operands from position i-of-kind-K in
 K's columns, so every column is dense and a consumer that ignores a kind
 (e.g. the replay fast path skipping ``IRMark``) never touches its
-columns.  Encoding consumes the :func:`~repro.workloads.interp
-.generate_trace` generator directly — the object list is never built —
-and :meth:`EncodedTrace.decode` round-trips to the exact event sequence.
+columns.  :func:`encode_trace` is the one producer of kernel traces: the
+interpreter (:func:`~repro.workloads.interp.lower_program`) appends
+each event straight to the columns, so no event object is ever built.
+:func:`encode_events` encodes object traces from elsewhere (synthetic
+traces, trace files, event-list prefixes), and :meth:`EncodedTrace
+.decode` round-trips to the exact event sequence — that is all
+:func:`materialize_trace` does after :func:`encode_trace`.
 
 ``EncodedTrace`` is iterable (iteration decodes lazily), so it can be
 passed anywhere a trace is expected; :meth:`repro.cpu.model.InOrderCPU
@@ -30,11 +34,17 @@ path, which is bit-exact with object replay (pinned by
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List
 
-from .interp import TraceConfig, generate_trace
+from .interp import TraceConfig, lower_program
 from .ir import Program
 from .trace import (
+    OP_BRANCH,
+    OP_COMPUTE,
+    OP_LOAD,
+    OP_MARK,
+    OP_PREFETCH,
+    OP_STORE,
     Branch,
     Compute,
     IRMark,
@@ -46,21 +56,16 @@ from .trace import (
     compute_event,
 )
 
-#: Event opcodes, ordered roughly by dynamic frequency.
-OP_LOAD = 0
-OP_COMPUTE = 1
-OP_STORE = 2
-OP_BRANCH = 3
-OP_PREFETCH = 4
-OP_MARK = 5
-
 
 class EncodedTrace:
     """One trace as parallel columnar arrays (see module docstring).
 
-    Instances are built by :func:`encode_events`/:func:`encode_trace`;
-    the columns are exposed as attributes for the replay fast path but
-    must be treated as immutable — traces are shared across runs.
+    A trace starts empty and its producer — :func:`encode_trace` (the
+    interpreter) or :func:`encode_events` — appends the events in
+    program order, through the methods below or by extending the
+    columns in bulk.  After that the columns are exposed as attributes
+    for the replay fast path but must be treated as immutable — traces
+    are shared across runs.
     """
 
     __slots__ = (
@@ -74,37 +79,61 @@ class EncodedTrace:
         "taken",
         "marks",
         "labels",
+        "_label_index",
         "_analysis",
     )
 
-    def __init__(
-        self,
-        opcodes: bytes,
-        load_addrs: "array",
-        load_sizes: "array",
-        store_addrs: "array",
-        store_sizes: "array",
-        pf_addrs: "array",
-        ops: "array",
-        taken: "array",
-        marks: "array",
-        labels: Tuple[str, ...],
-    ) -> None:
-        self.opcodes = opcodes
-        self.load_addrs = load_addrs
-        self.load_sizes = load_sizes
-        self.store_addrs = store_addrs
-        self.store_sizes = store_sizes
-        self.pf_addrs = pf_addrs
-        self.ops = ops
-        self.taken = taken
-        self.marks = marks
-        self.labels = labels
+    def __init__(self) -> None:
+        self.opcodes = bytearray()
+        self.load_addrs, self.load_sizes = array("q"), array("q")
+        self.store_addrs, self.store_sizes = array("q"), array("q")
+        self.pf_addrs = array("q")
+        self.ops = array("q")
+        self.taken = array("b")
+        self.marks = array("i")
+        self.labels: List[str] = []
+        self._label_index: Dict[str, int] = {}
         # Lazy per-trace analysis memo: reuse profiles keyed by
         # ("reuse", line_bytes) and hit-run annotations keyed by
         # ("elim", line_bytes, sets, ways, banks).  Derived data only —
         # never part of equality, round-tripping or nbytes accounting.
         self._analysis: Dict[tuple, object] = {}
+
+    def load(self, addr: int, size: int) -> None:
+        """Append one load."""
+        self.opcodes.append(OP_LOAD)
+        self.load_addrs.append(addr)
+        self.load_sizes.append(size)
+
+    def store(self, addr: int, size: int) -> None:
+        """Append one store."""
+        self.opcodes.append(OP_STORE)
+        self.store_addrs.append(addr)
+        self.store_sizes.append(size)
+
+    def compute(self, ops: int) -> None:
+        """Append one compute event."""
+        self.opcodes.append(OP_COMPUTE)
+        self.ops.append(ops)
+
+    def branch(self, taken: bool) -> None:
+        """Append one branch."""
+        self.opcodes.append(OP_BRANCH)
+        self.taken.append(1 if taken else 0)
+
+    def prefetch(self, addr: int) -> None:
+        """Append one software prefetch."""
+        self.opcodes.append(OP_PREFETCH)
+        self.pf_addrs.append(addr)
+
+    def mark(self, label: str) -> None:
+        """Append one IR mark, interning ``label`` in the string table."""
+        index = self._label_index.get(label)
+        if index is None:
+            index = self._label_index[label] = len(self.labels)
+            self.labels.append(label)
+        self.opcodes.append(OP_MARK)
+        self.marks.append(index)
 
     def __len__(self) -> int:
         return len(self.opcodes)
@@ -122,9 +151,9 @@ class EncodedTrace:
         """Yield the exact original event sequence, lazily.
 
         Loads/stores/prefetches/marks decode to fresh objects; branches
-        and computes decode to the interned singletons the interpreter
-        itself emits (events are immutable in practice, so sharing is
-        safe — see :func:`~repro.workloads.trace.branch_event`).
+        and computes decode to interned singletons (events are immutable
+        in practice, so sharing is safe — see
+        :func:`~repro.workloads.trace.branch_event`).
         """
         la, ls = self.load_addrs, self.load_sizes
         sa, ss = self.store_addrs, self.store_sizes
@@ -194,75 +223,50 @@ class EncodedTrace:
 
 
 def encode_events(events: Iterable[TraceEvent]) -> EncodedTrace:
-    """Encode any event iterable into columns, without materialising it.
+    """Encode an object trace into columns, without materialising it.
+
+    For traces that do not come from the interpreter (synthetic traces,
+    trace files, event-list prefixes); kernel traces come from
+    :func:`encode_trace`.
 
     Args:
-        events: Trace events in program order (typically the live
-            :func:`~repro.workloads.interp.generate_trace` generator).
+        events: Trace events in program order.
 
     Returns:
         The equivalent :class:`EncodedTrace`.
     """
-    opcodes = bytearray()
-    load_addrs, load_sizes = array("q"), array("q")
-    store_addrs, store_sizes = array("q"), array("q")
-    pf_addrs = array("q")
-    ops = array("q")
-    taken = array("b")
-    marks = array("i")
-    labels: List[str] = []
-    label_index: Dict[str, int] = {}
-
-    op_append = opcodes.append
+    out = EncodedTrace()
     for ev in events:
         kind = type(ev)
         if kind is Load:
-            op_append(OP_LOAD)
-            load_addrs.append(ev.addr)
-            load_sizes.append(ev.size)
+            out.load(ev.addr, ev.size)
         elif kind is Compute:
-            op_append(OP_COMPUTE)
-            ops.append(ev.ops)
+            out.compute(ev.ops)
         elif kind is Store:
-            op_append(OP_STORE)
-            store_addrs.append(ev.addr)
-            store_sizes.append(ev.size)
+            out.store(ev.addr, ev.size)
         elif kind is Branch:
-            op_append(OP_BRANCH)
-            taken.append(1 if ev.taken else 0)
+            out.branch(ev.taken)
         elif kind is Prefetch:
-            op_append(OP_PREFETCH)
-            pf_addrs.append(ev.addr)
+            out.prefetch(ev.addr)
         elif kind is IRMark:
-            op_append(OP_MARK)
-            index = label_index.get(ev.label)
-            if index is None:
-                index = label_index[ev.label] = len(labels)
-                labels.append(ev.label)
-            marks.append(index)
+            out.mark(ev.label)
         else:
             raise TypeError(f"cannot encode trace event {ev!r}")
-
-    return EncodedTrace(
-        opcodes=bytes(opcodes),
-        load_addrs=load_addrs,
-        load_sizes=load_sizes,
-        store_addrs=store_addrs,
-        store_sizes=store_sizes,
-        pf_addrs=pf_addrs,
-        ops=ops,
-        taken=taken,
-        marks=marks,
-        labels=tuple(labels),
-    )
+    return out
 
 
 def encode_trace(program: Program, config: TraceConfig = TraceConfig()) -> EncodedTrace:
-    """Generate and encode a program's trace in one streaming pass.
+    """The columnar trace of one execution of ``program``.
 
-    The columnar equivalent of :func:`~repro.workloads.interp
-    .materialize_trace`: the generator feeds the column builders
-    directly, so peak memory is the columns themselves (roughly an
-    order of magnitude below the object list).
+    The interpreter appends every event straight to the columns, so
+    peak memory is the columns themselves (roughly an order of
+    magnitude below an object list).
     """
-    return encode_events(generate_trace(program, config))
+    out = EncodedTrace()
+    lower_program(program, config, out)
+    return out
+
+
+def materialize_trace(program: Program, config: TraceConfig = TraceConfig()) -> List[TraceEvent]:
+    """The trace of ``program`` as an event-object list (decoded columns)."""
+    return encode_trace(program, config).decode()

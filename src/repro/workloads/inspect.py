@@ -170,8 +170,7 @@ def event_counts(program: Program) -> Dict[str, int]:
     """Dynamic event counts of ``program``, via the columnar trace.
 
     Encodes the trace once (:func:`~repro.workloads.encode.encode_trace`
-    builds the columns straight from the generator, so no per-event
-    objects are ever materialised) and summarises it column-wise with
+    builds no per-event objects) and summarises it column-wise with
     :func:`~repro.workloads.trace.trace_summary`.
 
     Returns:

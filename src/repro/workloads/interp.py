@@ -26,37 +26,38 @@ Transformation annotations change the emission:
   :attr:`TraceConfig.prefetch_block_bytes` granularity so one hint is
   issued per new buffer window, like hand-placed prefetch intrinsics.
 
+The walk builds no event objects: :func:`lower_program`, called by
+:func:`~repro.workloads.encode.encode_trace`, appends each event's
+opcode and operands straight to the columns of an
+:class:`~repro.workloads.encode.EncodedTrace`.
+
 Innermost loops are lowered, not interpreted: every subscript is affine
 in the loop variable, so each reference advances by a fixed byte stride
 per iteration and its address at iteration ``v`` is ``base + stride *
 (v - lo)``.  On each loop entry the interpreter evaluates every
 reference once (``ref.addr(env)`` at ``v = lo``) into a plan, then emits
-the loop's events from the plans with integer arithmetic only.  Scalar
-loops (``W = 1``, no prefetches) use ``(base, stride, elem bytes)``
-plans; vector and prefetching loops use ``(base, stride, lanes)``
-plans, whose lanes give each access's byte offset and size within one
-chunk, and prefetch targets are iterations of the same lowering.
-Outer loops and statements outside innermost loops still evaluate
-under the variable environment.
+the loop chunk by chunk (W >= 1 iterations each; a scalar loop has
+chunks of one) from the plans with integer arithmetic only.  A plan
+gives each access of one chunk as a ``(byte address at chunk 0, byte
+stride)`` pair plus its size, so a chunk extends every column in bulk;
+it is built once per loop entry for the full chunk width and, when the
+trip count is not a multiple of W, for the tail chunk.  Prefetch
+targets are iterations of the same lowering.  Outer loops and
+statements outside innermost loops still evaluate under the variable
+environment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..errors import WorkloadError
 from .affine import Var
 from .ir import Loop, Node, Program, Ref, Statement
-from .trace import (
-    IRMark,
-    Load,
-    Prefetch,
-    Store,
-    TraceEvent,
-    branch_event,
-    compute_event,
-)
+from .trace import OP_BRANCH, OP_COMPUTE, OP_LOAD, OP_STORE
+
+if TYPE_CHECKING:
+    from .encode import EncodedTrace
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,20 @@ class TraceConfig:
     annotate_ir: bool = False
 
 
-def generate_trace(program: Program, config: TraceConfig = TraceConfig()) -> Iterator[TraceEvent]:
-    """Yield the architectural events of one execution of ``program``."""
+def lower_program(program: Program, config: TraceConfig, out: EncodedTrace) -> None:
+    """Append the events of one execution of ``program`` to ``out``."""
     if any(a.base_addr is None for a in program.arrays):
         program.layout(base_addr=config.layout_base)
-    env: Dict[str, int] = {}
-    # Per-generation memo for _split_refs: the partition depends only on
-    # the loop body and the config (constant for this walk), yet an
+    # Per-walk memo for _split_refs: the partition depends only on the
+    # loop body and the config (constant for this walk), yet an
     # innermost loop is *entered* once per surrounding iteration — i*j
     # times for gemm — so the split is computed once per loop node here
-    # instead of once per entry.  Keyed by node identity; the memo's
-    # lifetime is one generator run, during which the tree is immutable.
-    split_memo: Dict[int, tuple] = {}
+    # instead of once per entry.  Keyed by node identity; the tree is
+    # immutable for the walk's lifetime.
+    splits: Dict[int, tuple] = {}
+    env: Dict[str, int] = {}
     for node in program.body:
-        yield from _run_node(node, env, config, "", split_memo)
-
-
-def materialize_trace(program: Program, config: TraceConfig = TraceConfig()) -> List[TraceEvent]:
-    """Generate the whole trace as a list (reused across configurations)."""
-    return list(generate_trace(program, config))
+        _run_node(node, env, config, "", splits, out)
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +112,20 @@ def _run_node(
     node: Node,
     env: Dict[str, int],
     cfg: TraceConfig,
-    path: str = "",
-    split_memo: Optional[Dict[int, tuple]] = None,
-) -> Iterator[TraceEvent]:
+    path: str,
+    splits: Dict[int, tuple],
+    out: EncodedTrace,
+) -> None:
     if isinstance(node, Statement):
-        yield from _run_statement(node, env)
+        # A statement outside any innermost loop: evaluated under env.
+        for ref in node.reads:
+            out.load(ref.addr(env), ref.array.elem_bytes)
+        out.compute(node.flops + node.overhead_ops)
+        for ref in node.writes:
+            out.store(ref.addr(env), ref.array.elem_bytes)
         return
     if node.is_innermost:
-        yield from _run_innermost(node, env, cfg, path, split_memo)
+        _run_innermost(node, env, cfg, path, splits, out)
         return
     lo = node.lower.evaluate(env)
     hi = node.upper.evaluate(env)
@@ -134,25 +136,16 @@ def _run_node(
         if cfg.annotate_ir:
             # Re-marked each iteration so the region pops back correctly
             # after a nested loop overrode it.
-            yield IRMark(label)
+            out.mark(label)
         for child in node.body:
-            yield from _run_node(child, env, cfg, label, split_memo)
+            _run_node(child, env, cfg, label, splits, out)
         if (i + 1) % branch_every == 0 or v == hi - 1:
-            yield branch_event(v != hi - 1)
+            out.branch(v != hi - 1)
     env.pop(node.var.name, None)
 
 
-def _run_statement(node: Statement, env: Dict[str, int]) -> Iterator[TraceEvent]:
-    """Execute one statement outside any innermost-loop specialisation."""
-    for ref in node.reads:
-        yield Load(ref.addr(env), ref.array.elem_bytes)
-    yield compute_event(node.flops + node.overhead_ops)
-    for ref in node.writes:
-        yield Store(ref.addr(env), ref.array.elem_bytes)
-
-
 # ----------------------------------------------------------------------
-# Innermost-loop specialisation
+# Innermost-loop lowering
 # ----------------------------------------------------------------------
 
 
@@ -199,89 +192,40 @@ def _run_innermost(
     node: Loop,
     env: Dict[str, int],
     cfg: TraceConfig,
-    path: str = "",
-    split_memo: Optional[Dict[int, tuple]] = None,
-) -> Iterator[TraceEvent]:
+    path: str,
+    splits: Dict[int, tuple],
+    out: EncodedTrace,
+) -> None:
     lo = node.lower.evaluate(env)
     hi = node.upper.evaluate(env)
     if hi <= lo:
         return
     if cfg.annotate_ir:
-        yield IRMark(f"{path}.{node.var.name}" if path else node.var.name)
-    if split_memo is None:
-        preloads, poststores, per_stmt = _split_refs(node, cfg)
-    else:
-        split = split_memo.get(id(node))
-        if split is None:
-            split = split_memo[id(node)] = _split_refs(node, cfg)
-        preloads, poststores, per_stmt = split
+        out.mark(f"{path}.{node.var.name}" if path else node.var.name)
+    split = splits.get(id(node))
+    if split is None:
+        split = splits[id(node)] = _split_refs(node, cfg)
+    preloads, poststores, per_stmt = split
 
     # Hoisted loads execute once, before the loop (scalar replacement).
     env[node.var.name] = lo
     for ref in preloads:
-        yield Load(ref.addr(env), ref.array.elem_bytes)
+        out.load(ref.addr(env), ref.array.elem_bytes)
 
+    var, trips = node.var, hi - lo
     width = max(1, node.vector_width)
     branch_every = max(1, node.unroll)
-
-    if width == 1 and not node.prefetch:
-        # Scalar path: one access per reference per iteration, so a
-        # (base, byte stride, elem bytes) plan per reference turns each
-        # access into one multiply-add: addr(v) = base + stride * (v - lo).
-        var, trips = node.var, hi - lo
-        plans = [
-            (
-                [(ref.addr(env), ref.stride_bytes(var), ref.array.elem_bytes) for ref in reads],
-                statement.flops + statement.overhead_ops,
-                [(ref.addr(env), ref.stride_bytes(var), ref.array.elem_bytes) for ref in writes],
-            )
-            for statement, reads, writes in per_stmt
-        ]
-        for off in range(trips):
-            for read_plan, ops_count, write_plan in plans:
-                for base, step, elem in read_plan:
-                    yield Load(base + step * off, elem)
-                yield compute_event(ops_count)
-                for base, step, elem in write_plan:
-                    yield Store(base + step * off, elem)
-            done = off + 1
-            if done % branch_every == 0 or done == trips:
-                yield branch_event(done != trips)
-        # Hoisted stores execute once, after the loop.
-        env[node.var.name] = lo
-        for ref in poststores:
-            yield Store(ref.addr(env), ref.array.elem_bytes)
-        env.pop(node.var.name, None)
-        return
-
-    # Vector/prefetch path: the same affine lowering, per chunk of W
-    # iterations.  A reference's accesses over one chunk are a fixed
-    # pattern of (byte offset, size) lanes from its address at the
-    # chunk's first iteration `off`, so each plan is (base, byte stride,
-    # lanes), built once per loop entry for the full chunk width and,
-    # when the trip count is not a multiple of W, for the tail chunk.
-    var, trips = node.var, hi - lo
-
-    def lowered(refs: List[Ref], chunk: int) -> list:
-        return [(ref.addr(env), ref.stride_bytes(var), _lanes(ref, var, chunk)) for ref in refs]
-
-    def plan(chunk: int) -> list:
-        return [
-            (
-                lowered(reads, chunk),
-                statement.flops + statement.overhead_ops,
-                lowered(writes, chunk),
-            )
-            for statement, reads, writes in per_stmt
-        ]
-
-    full_plans = plan(width)
-    tail_plans = plan(trips % width) if trips % width else full_plans
+    full_plan = _chunk_plan(per_stmt, env, var, width)
+    tail_plan = _chunk_plan(per_stmt, env, var, trips % width) if trips % width else full_plan
     # Prefetch targets are iterations too: addr = base + stride * (t - lo).
     pf_plans = [(ref.addr(env), ref.stride_bytes(var), dist) for ref, dist in node.prefetch]
     last_block: List[Optional[int]] = [None] * len(pf_plans)
     block_bytes = cfg.prefetch_block_bytes
 
+    opcodes = out.opcodes
+    load_addrs, load_sizes = out.load_addrs, out.load_sizes
+    store_addrs, store_sizes = out.store_addrs, out.store_sizes
+    ops, taken = out.ops, out.taken
     for chunk_index, off in enumerate(range(0, trips, width), 1):
         # Software prefetches run ahead of the demand stream.  The first
         # iteration also prefetches its *own* data — the paper's "cutting
@@ -294,27 +238,60 @@ def _run_innermost(
                 block = addr // block_bytes
                 if last_block[pf_index] != block:
                     last_block[pf_index] = block
-                    yield Prefetch(addr)
+                    out.prefetch(addr)
 
         last = off + width >= trips
-        for read_plan, ops_count, write_plan in full_plans if not last else tail_plans:
-            for base, step, lanes in read_plan:
-                addr = base + step * off
-                for delta, size in lanes:
-                    yield Load(addr + delta, size)
-            yield compute_event(ops_count)
-            for base, step, lanes in write_plan:
-                addr = base + step * off
-                for delta, size in lanes:
-                    yield Store(addr + delta, size)
+        body, loads, l_sizes, op_counts, stores, s_sizes = tail_plan if last else full_plan
+        opcodes += body
+        if loads:
+            load_addrs.extend([base + step * off for base, step in loads])
+            load_sizes.extend(l_sizes)
+        ops.extend(op_counts)
+        if stores:
+            store_addrs.extend([base + step * off for base, step in stores])
+            store_sizes.extend(s_sizes)
         if chunk_index % branch_every == 0 or last:
-            yield branch_event(not last)
+            opcodes.append(OP_BRANCH)
+            taken.append(not last)
 
     # Hoisted stores execute once, after the loop.
     env[node.var.name] = lo
     for ref in poststores:
-        yield Store(ref.addr(env), ref.array.elem_bytes)
+        out.store(ref.addr(env), ref.array.elem_bytes)
     env.pop(node.var.name, None)
+
+
+def _chunk_plan(per_stmt: list, env: Dict[str, int], var: Var, chunk: int) -> tuple:
+    """The accesses of one ``chunk``-iteration chunk at loop entry ``env``.
+
+    Returns ``(opcodes, loads, load sizes, compute ops, stores, store
+    sizes)``: the chunk's opcode bytes in program order, each load's and
+    store's ``(byte address at the first chunk, byte stride)`` and size,
+    and each statement's op count.  The chunk starting at iteration
+    offset ``off`` accesses ``address + stride * off``.
+    """
+    body = bytearray()
+    loads: List[Tuple[int, int]] = []
+    load_sizes: List[int] = []
+    op_counts: List[int] = []
+    stores: List[Tuple[int, int]] = []
+    store_sizes: List[int] = []
+    for statement, reads, writes in per_stmt:
+        for ref in reads:
+            addr, step = ref.addr(env), ref.stride_bytes(var)
+            for delta, size in _lanes(ref, var, chunk):
+                body.append(OP_LOAD)
+                loads.append((addr + delta, step))
+                load_sizes.append(size)
+        body.append(OP_COMPUTE)
+        op_counts.append(statement.flops + statement.overhead_ops)
+        for ref in writes:
+            addr, step = ref.addr(env), ref.stride_bytes(var)
+            for delta, size in _lanes(ref, var, chunk):
+                body.append(OP_STORE)
+                stores.append((addr + delta, step))
+                store_sizes.append(size)
+    return bytes(body), loads, load_sizes, op_counts, stores, store_sizes
 
 
 def _lanes(ref: Ref, var: Var, chunk: int) -> Tuple[Tuple[int, int], ...]:

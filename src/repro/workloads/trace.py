@@ -1,14 +1,24 @@
-"""Architectural trace events produced by the workload interpreter.
+"""Architectural trace events and their opcodes in the columnar form.
 
-A trace is a flat sequence of events in program order.  Events are tiny
-``__slots__`` classes rather than dataclasses: kernel traces run to
-hundreds of thousands of events per run, and construction cost dominates
-trace generation time.
+A trace is a flat sequence of events in program order.  The interpreter
+writes it as columns (:class:`~repro.workloads.encode.EncodedTrace`);
+the event objects here are what decoding yields.  Events are tiny
+``__slots__`` classes rather than dataclasses: traces run to hundreds
+of thousands of events, and construction cost dominates decoding time.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable
+
+
+#: Event opcodes of the columnar form, ordered roughly by dynamic frequency.
+OP_LOAD = 0
+OP_COMPUTE = 1
+OP_STORE = 2
+OP_BRANCH = 3
+OP_PREFETCH = 4
+OP_MARK = 5
 
 
 class TraceEvent:
@@ -100,8 +110,8 @@ class IRMark(TraceEvent):
 #: Interned branch events.  A trace contains exactly two distinct branch
 #: values over hundreds of thousands of occurrences; events are immutable
 #: in practice (nothing in the simulator writes to them — pinned by
-#: ``tests/test_encode.py``), so the interpreter and decoder share these
-#: singletons instead of allocating per back-edge.
+#: ``tests/test_encode.py``), so decoding shares these singletons
+#: instead of allocating per back-edge.
 BRANCH_TAKEN = Branch(True)
 BRANCH_NOT_TAKEN = Branch(False)
 

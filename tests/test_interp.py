@@ -4,7 +4,7 @@ import pytest
 
 from repro.workloads.affine import Var
 from repro.workloads.ir import Array, Loop, Program, loop, stmt
-from repro.workloads.interp import TraceConfig, generate_trace, materialize_trace
+from repro.workloads import TraceConfig, materialize_trace
 from repro.workloads.trace import Branch, Compute, Load, Prefetch, Store, trace_summary
 
 i, j = Var("i"), Var("j")
@@ -30,17 +30,17 @@ class TestScalarEmission:
 
     def test_load_addresses_are_sequential(self):
         prog, x, _ = simple_stream(n=4)
-        loads = [ev for ev in generate_trace(prog) if isinstance(ev, Load)]
+        loads = [ev for ev in materialize_trace(prog) if isinstance(ev, Load)]
         assert [ev.addr for ev in loads] == [x.base_addr + 4 * k for k in range(4)]
 
     def test_compute_includes_overhead(self):
         prog, _, _ = simple_stream(n=1, flops=2)
-        comp = [ev for ev in generate_trace(prog) if isinstance(ev, Compute)]
+        comp = [ev for ev in materialize_trace(prog) if isinstance(ev, Compute)]
         assert comp[0].ops == 3  # flops + default overhead 1
 
     def test_last_branch_not_taken(self):
         prog, _, _ = simple_stream(n=3)
-        branches = [ev for ev in generate_trace(prog) if isinstance(ev, Branch)]
+        branches = [ev for ev in materialize_trace(prog) if isinstance(ev, Branch)]
         assert [b.taken for b in branches] == [True, True, False]
 
     def test_empty_loop_emits_nothing(self):
@@ -102,7 +102,7 @@ class TestVectorEmission:
 
     def test_wide_accesses(self):
         prog, x, _ = self._vec_prog()
-        loads = [ev for ev in generate_trace(prog) if isinstance(ev, Load)]
+        loads = [ev for ev in materialize_trace(prog) if isinstance(ev, Load)]
         assert len(loads) == 2
         assert all(ev.size == 16 for ev in loads)
 
@@ -114,7 +114,7 @@ class TestVectorEmission:
 
     def test_remainder_chunk(self):
         prog, _, _ = self._vec_prog(n=10)
-        loads = [ev for ev in generate_trace(prog) if isinstance(ev, Load)]
+        loads = [ev for ev in materialize_trace(prog) if isinstance(ev, Load)]
         assert [ev.size for ev in loads] == [16, 16, 8]
 
     def test_same_bytes_covered(self):
@@ -129,7 +129,7 @@ class TestVectorEmission:
         a = Array("A", (8, 8))
         prog = Program("g", [loop(i, 8, [stmt(reads=[a[i, 0]], flops=1)])])
         prog.loops()[0].vector_width = 4
-        loads = [ev for ev in generate_trace(prog) if isinstance(ev, Load)]
+        loads = [ev for ev in materialize_trace(prog) if isinstance(ev, Load)]
         assert len(loads) == 8  # per-lane accesses
         assert all(ev.size == 4 for ev in loads)
 
@@ -178,7 +178,7 @@ class TestPrefetchEmission:
 
     def test_prefetch_deduplicated_per_block(self):
         prog, x = self._pf_prog(n=64, distance=16)
-        prefetches = [ev for ev in generate_trace(prog) if isinstance(ev, Prefetch)]
+        prefetches = [ev for ev in materialize_trace(prog) if isinstance(ev, Prefetch)]
         # 64 elements x 4 B = 256 B = 4 blocks of 64 B: the preheader hint
         # covers block 0 and the look-ahead stream covers blocks 1-3, each
         # exactly once.
@@ -188,10 +188,10 @@ class TestPrefetchEmission:
 
     def test_preheader_prefetches_own_window(self):
         prog, x = self._pf_prog(n=64, distance=16)
-        first = next(ev for ev in generate_trace(prog) if isinstance(ev, Prefetch))
+        first = next(ev for ev in materialize_trace(prog) if isinstance(ev, Prefetch))
         assert first.addr == x.base_addr
 
     def test_target_clamped_to_bounds(self):
         prog, x = self._pf_prog(n=8, distance=100)
-        prefetches = [ev for ev in generate_trace(prog) if isinstance(ev, Prefetch)]
+        prefetches = [ev for ev in materialize_trace(prog) if isinstance(ev, Prefetch)]
         assert all(ev.addr < x.base_addr + x.size_bytes for ev in prefetches)

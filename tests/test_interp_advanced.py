@@ -4,7 +4,7 @@ import pytest
 
 from repro.workloads.affine import Var
 from repro.workloads.ir import Array, Loop, Program, loop, stmt
-from repro.workloads.interp import TraceConfig, generate_trace, materialize_trace
+from repro.workloads import TraceConfig, encode_trace, materialize_trace
 from repro.workloads.trace import Branch, Compute, Load, Prefetch, Store, trace_summary
 
 i, j, k = Var("i"), Var("j"), Var("k")
@@ -76,7 +76,7 @@ class TestNegativeStride:
     def test_reverse_walk(self):
         a = Array("A", (16,))
         body = loop(i, 16, [stmt(reads=[a[15 - i]], flops=1)])
-        loads = [ev for ev in generate_trace(Program("p", [body])) if isinstance(ev, Load)]
+        loads = [ev for ev in materialize_trace(Program("p", [body])) if isinstance(ev, Load)]
         addrs = [ev.addr for ev in loads]
         assert addrs == sorted(addrs, reverse=True)
 
@@ -122,7 +122,7 @@ class TestTraceConfig:
     def test_layout_base_respected(self):
         x = Array("x", (4,))
         prog = Program("p", [loop(i, 4, [stmt(reads=[x[i]], flops=1)])])
-        list(generate_trace(prog, TraceConfig(layout_base=0x40_0000)))
+        encode_trace(prog, TraceConfig(layout_base=0x40_0000))
         assert x.base_addr == 0x40_0000
 
     def test_existing_layout_not_overwritten(self):
@@ -130,5 +130,5 @@ class TestTraceConfig:
         prog = Program("p", [loop(i, 4, [stmt(reads=[x[i]], flops=1)])])
         prog.layout(base_addr=0x1234_0000 & ~63)
         base = x.base_addr
-        list(generate_trace(prog))
+        encode_trace(prog)
         assert x.base_addr == base

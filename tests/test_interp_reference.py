@@ -9,18 +9,21 @@ Two references:
 - :func:`reference_trace`, the env-driven lowering the interpreter used
   before its innermost loops were lowered to precomputed affine plans:
   every access evaluates ``ref.addr(env)`` under the current loop
-  variables.  The real interpreter must emit the *exact* event list of
-  it under every annotation (vector width, unroll, prefetch) and with
-  scalar replacement on or off.
+  variables, and ``annotate_ir`` marks come from the walk itself.  The
+  real interpreter must emit the *exact* event list of it under every
+  annotation (vector width, unroll, prefetch), with scalar replacement
+  on or off and with IR marks on or off.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.affine import Var
-from repro.workloads.interp import TraceConfig, _split_refs, materialize_trace
+from repro.workloads import TraceConfig, materialize_trace
+from repro.workloads.interp import _split_refs
 from repro.workloads.ir import Array, Loop, Program, Statement
 from repro.workloads.trace import (
+    IRMark,
     Load,
     Prefetch,
     Store,
@@ -89,11 +92,13 @@ def reference_trace(program, cfg):
             out.append(factory(ref.addr(env), elem))
         env[node.var.name] = saved
 
-    def run_innermost(node, env):
+    def run_innermost(node, env, label):
         lo = node.lower.evaluate(env)
         hi = node.upper.evaluate(env)
         if hi <= lo:
             return
+        if cfg.annotate_ir:
+            out.append(IRMark(label))
         preloads, poststores, per_stmt = _split_refs(node, cfg)
         env[node.var.name] = lo
         for ref in preloads:
@@ -133,7 +138,7 @@ def reference_trace(program, cfg):
             out.append(Store(ref.addr(env), ref.array.elem_bytes))
         env.pop(node.var.name, None)
 
-    def run(node, env):
+    def run(node, env, path):
         if isinstance(node, Statement):
             for ref in node.reads:
                 out.append(Load(ref.addr(env), ref.array.elem_bytes))
@@ -141,22 +146,25 @@ def reference_trace(program, cfg):
             for ref in node.writes:
                 out.append(Store(ref.addr(env), ref.array.elem_bytes))
             return
+        label = f"{path}.{node.var.name}" if path else node.var.name
         if node.is_innermost:
-            run_innermost(node, env)
+            run_innermost(node, env, label)
             return
         lo = node.lower.evaluate(env)
         hi = node.upper.evaluate(env)
         branch_every = max(1, node.unroll)
         for i, v in enumerate(range(lo, hi)):
             env[node.var.name] = v
+            if cfg.annotate_ir:
+                out.append(IRMark(label))
             for child in node.body:
-                run(child, env)
+                run(child, env, label)
             if (i + 1) % branch_every == 0 or v == hi - 1:
                 out.append(branch_event(v != hi - 1))
         env.pop(node.var.name, None)
 
     for node in program.body:
-        run(node, {})
+        run(node, {}, "")
     return out
 
 
@@ -261,9 +269,9 @@ def annotated_programs(draw):
 
 
 class TestAgainstEnvDrivenLowering:
-    @given(annotated_programs(), st.booleans())
+    @given(annotated_programs(), st.booleans(), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_plan_lowering_emits_the_exact_event_list(self, prog, scalar_replacement):
-        config = TraceConfig(scalar_replacement=scalar_replacement)
+    def test_plan_lowering_emits_the_exact_event_list(self, prog, scalar_replacement, annotate_ir):
+        config = TraceConfig(scalar_replacement=scalar_replacement, annotate_ir=annotate_ir)
         want = event_keys(reference_trace(prog, config))
         assert event_keys(materialize_trace(prog, config)) == want
