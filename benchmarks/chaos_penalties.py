@@ -79,6 +79,7 @@ def run_grid(workdir, plan, policy, label, jobs=4):
         with telemetry.span("sweep", command="penalties"):
             result = penalties.run(ExperimentRunner(engine=engine))
     finally:
+        engine.close()
         manifest = build_manifest("penalties", engine)
         write_manifest(manifest, telemetry.path.parent)
         telemetry.close()

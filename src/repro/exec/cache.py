@@ -205,6 +205,15 @@ def key_material_of(point: RunPoint) -> Dict[str, Any]:
     }
 
 
+#: Per-process memo of :func:`cache_key_of` by ``(id(config),
+#: *workload)``.  Hashing a key costs a few hundred microseconds and a
+#: figure asks for each point's key several times (runner memo, engine
+#: lookup).  Configurations are immutable, so the object stands for its
+#: content; each entry keeps its configuration alive, so an id is never
+#: reused while its entry exists.
+_KEYS: Dict[tuple, Tuple[Any, str]] = {}
+
+
 def cache_key_of(point: RunPoint) -> str:
     """Content-addressed cache key of a point.
 
@@ -217,10 +226,14 @@ def cache_key_of(point: RunPoint) -> str:
     -------
     str
         SHA-256 hex digest of the sorted-JSON dump of
-        :func:`key_material_of`.
+        :func:`key_material_of`, memoised per configuration object and
+        workload.
     """
-    blob = json.dumps(key_material_of(point), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    request = (id(point.config),) + point.workload
+    if request not in _KEYS:
+        blob = json.dumps(key_material_of(point), sort_keys=True)
+        _KEYS[request] = (point.config, hashlib.sha256(blob.encode()).hexdigest())
+    return _KEYS[request][1]
 
 
 def encode_result(result: RunResult) -> Dict[str, Any]:

@@ -11,10 +11,12 @@ of how the work was scheduled:
    resumed run executes only the points that never finished (with the
    cache off, a journal ``RunCache`` plays the same part);
 2. the remaining points are deduplicated by key (a figure batch shares
-   one SRAM baseline across configurations) and handed to the
-   :class:`~repro.exec.resilience.Supervisor`, the one scheduler — it
-   runs them in-process when ``jobs == 1`` or the batch has one such
-   point, else on a crash-surviving pool of ``jobs`` workers;
+   one SRAM baseline across configurations) and handed to the engine's
+   one :class:`~repro.exec.resilience.Supervisor` — it runs them
+   in-process when ``jobs == 1`` or the batch has one such point, else
+   on a crash-surviving, trace-affine pool of ``jobs`` workers that is
+   spawned at the first such batch and reused by every later one until
+   :meth:`ExecutionEngine.close`;
 3. each result is stored in the cache (or, with the cache off, the
    journal) the moment it completes, so an interrupted sweep resumes
    from the finished points — the result store is the checkpoint.
@@ -42,8 +44,10 @@ or the journal — the engine's central invariant, pinned by
 ``tests/test_resilience.py``.
 
 Per-point progress goes to the ``progress`` stream.  Every counter —
-hits, misses, retries, timeouts, executions — lives once, in the
-engine's :class:`~repro.telemetry.metrics.MetricsRegistry`;
+hits, misses, retries, timeouts, executions, and the stage times and
+elimination counts of each executed point's
+:class:`~repro.exec.point.PointStats` record, wherever it ran — lives
+once, in the engine's :class:`~repro.telemetry.metrics.MetricsRegistry`;
 :class:`ExecStats` is a read-only view of it.  When a
 :class:`~repro.telemetry.events.TelemetryRecorder` is attached, the
 engine additionally emits batch/point spans and retry events into
@@ -56,9 +60,12 @@ bit-identical (the same contract ``NullProbe`` upholds).
 from __future__ import annotations
 
 import os
+import signal
 import time
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from ..cpu.model import RunResult
 from ..errors import ConfigurationError, SweepFailure
@@ -66,7 +73,7 @@ from ..telemetry import log
 from ..telemetry.events import NULL_TELEMETRY, Telemetry
 from ..telemetry.metrics import MetricsRegistry
 from .cache import RunCache, cache_key_of, canonicalize, key_material_of
-from .point import RunPoint
+from .point import PointStats, RunPoint
 from .resilience import (
     DEFAULT_JOURNAL_DIR,
     FaultPlan,
@@ -144,13 +151,17 @@ class ExecStats:
     events_eliminated : int
         Trace events consumed through guaranteed-hit runs
         (:mod:`repro.workloads.elim`) instead of per-event simulation,
-        accumulated per batch from the in-process elimination counters
-        [``elim.events_eliminated``].  Pool workers run in their own
-        processes, so only in-process execution (``jobs=1``,
-        single-point batches, quarantined points) contributes here.
+        summed over executed points in-process and pooled alike
+        [``elim.events_eliminated``].
     runs_applied : int
-        Guaranteed-hit runs applied in-process (same visibility caveat
-        as ``events_eliminated``) [``elim.runs_applied``].
+        Guaranteed-hit runs applied [``elim.runs_applied``].
+    traces_encoded : int
+        Traces encoded by executed points, in whichever process ran
+        them [``point.traces_encoded``].
+    encode_s, build_s, warm_s, replay_s : float
+        Host seconds executed points spent encoding traces, building
+        ``System`` objects, warming the L2 and replaying, summed over
+        every process [totals of ``point.encode_s`` etc.].
     elapsed : float
         Wall-clock seconds spent inside :meth:`ExecutionEngine.run_points`
         [total of ``exec.batch_wall_s``].
@@ -183,6 +194,11 @@ class ExecStats:
     failed = _counter("exec.failed")
     events_eliminated = _counter("elim.events_eliminated")
     runs_applied = _counter("elim.runs_applied")
+    traces_encoded = _counter("point.traces_encoded")
+    encode_s = _histogram_total("point.encode_s")
+    build_s = _histogram_total("point.build_s")
+    warm_s = _histogram_total("point.warm_s")
+    replay_s = _histogram_total("point.replay_s")
     elapsed = _histogram_total("exec.batch_wall_s")
     busy = _histogram_total("exec.point_wall_s")
 
@@ -240,6 +256,25 @@ class BatchOutcome:
     def ok(self) -> bool:
         """Whether every point of the batch completed."""
         return not self.failures
+
+
+@contextmanager
+def _interrupts_held() -> Iterator[None]:
+    """Hold ``SIGINT``/``SIGTERM`` until the block ends (where the OS can).
+
+    The CLI turns both signals into ``KeyboardInterrupt``.  Raised
+    between a point's checkpoint write and its manifest record, it would
+    leave a checkpointed point the manifest does not list; held, it is
+    raised right after the block instead.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 class _Batch:
@@ -324,28 +359,41 @@ class _Batch:
         if self.engine.telemetry.enabled:
             self.engine.telemetry.event("worker_restarted")
 
-    def completed(self, task: Task, result: RunResult, pid: int, wall_s: float) -> None:
-        """Persist one finished point and fill every slot it serves."""
+    def completed(
+        self, task: Task, result: RunResult, stats: PointStats, pid: int, wall_s: float
+    ) -> None:
+        """Persist one finished point, fold its stats, fill its slots."""
         engine = self.engine
         entry = self.pending[task.key]
         dt = time.monotonic() - self.submitted.get(task.key, time.monotonic())
-        engine.metrics.count("exec.executed")
-        engine.metrics.observe("exec.point_wall_s", wall_s)
-        engine._store(task.key, result, entry.point)
-        for i in entry.indices:
-            self.results[i] = result
+        metrics = engine.metrics
+        metrics.count("exec.executed")
+        metrics.observe("exec.point_wall_s", wall_s)
+        for stage in ("encode_s", "build_s", "warm_s", "replay_s"):
+            metrics.observe(f"point.{stage}", getattr(stats, stage))
+        for name, n in (
+            ("point.traces_encoded", stats.traces_encoded),
+            ("elim.events_eliminated", stats.events_eliminated),
+            ("elim.runs_applied", stats.runs_applied),
+        ):
+            if n:
+                metrics.count(name, n)
         tele = engine.telemetry
-        if tele.enabled:
-            end = tele.now()
-            engine._record_point(
-                entry.point, task.key, "run", pid, wall_s, max(0.0, end - wall_s), result
-            )
-            tele.end_span(
-                self.spans.get(task.key, 0),
-                status="run",
-                worker_pid=int(pid),
-                wall_s=round(wall_s, 6),
-            )
+        with _interrupts_held():  # the checkpoint and its record land together
+            engine._store(task.key, result, entry.point)
+            for i in entry.indices:
+                self.results[i] = result
+            if tele.enabled:
+                end = tele.now()
+                engine._record_point(
+                    entry.point, task.key, "run", pid, wall_s, max(0.0, end - wall_s), result
+                )
+                tele.end_span(
+                    self.spans.get(task.key, 0),
+                    status="run",
+                    worker_pid=int(pid),
+                    wall_s=round(wall_s, 6),
+                )
         engine._report(entry.point, "run", entry.indices[0], self.total, dt)
 
     def failed(self, failure: PointFailure) -> None:
@@ -372,10 +420,14 @@ class _Batch:
 class ExecutionEngine:
     """Runs batches of simulation points, in parallel, cached, resilient.
 
-    Every cache-missing point goes through one
-    :class:`~repro.exec.resilience.Supervisor` per batch, whatever
-    ``jobs`` is, and every counter goes into :attr:`metrics`
-    (:attr:`stats` is a read-only view of it).
+    Every cache-missing point goes through the engine's one
+    :class:`~repro.exec.resilience.Supervisor`, whatever ``jobs`` is,
+    and every counter goes into :attr:`metrics` (:attr:`stats` is a
+    read-only view of it).  With ``jobs > 1`` the supervisor's worker
+    pool is spawned at the first batch with two or more cache-missing
+    points and lives until :meth:`close` (or the ``with`` block, or the
+    engine's garbage collection), so later batches reuse its workers
+    and the traces they already encoded.
 
     Parameters
     ----------
@@ -456,6 +508,23 @@ class ExecutionEngine:
         self._journaled: set = set()
         self._cache_degraded = False
         self._corrupted_indices: set = set()
+        self._supervisor = Supervisor(self.jobs)
+        # A forgotten engine's workers die with it, not with the interpreter.
+        self._close_pool = weakref.finalize(self, self._supervisor.close)
+
+    def close(self) -> None:
+        """Stop the worker pool, if one was spawned; idempotent.
+
+        A later batch spawns a new pool, so closing only costs the
+        workers' warm trace memos.
+        """
+        self._supervisor.close()
+
+    def __enter__(self) -> "ExecutionEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Reporting
@@ -568,10 +637,7 @@ class ExecutionEngine:
             points a ``fail_fast`` stop left unrun) and this batch's
             terminal failures.
         """
-        from ..workloads.elim import counters as _elim_counters
-
         started = time.monotonic()
-        elim_before = _elim_counters()
         points = list(points)
         total = len(points)
         self.metrics.count("exec.points", total)
@@ -619,10 +685,6 @@ class ExecutionEngine:
                 self._execute_pending(pending, results, total, batch.id)
 
         self.metrics.observe("exec.batch_wall_s", time.monotonic() - started)
-        elim_after = _elim_counters()
-        for name in ("events_eliminated", "runs_applied"):
-            if elim_after[name] != elim_before[name]:
-                self.metrics.count(f"elim.{name}", elim_after[name] - elim_before[name])
         if self.stats.elapsed > 0.0:
             self.metrics.gauge(
                 "exec.utilization_pct",
@@ -749,14 +811,10 @@ class ExecutionEngine:
             costs = [estimate_point_cost(task.point) for task in tasks]
             for task, budget in zip(tasks, scale_timeouts(costs, self.policy.timeout)):
                 task.timeout = budget
-        supervisor = Supervisor(
-            jobs=min(self.jobs, len(tasks)),
-            policy=self.policy,
-            fault_plan=self.fault_plan,
-            batch=_Batch(self, pending, results, total, batch_span),
-        )
         self.metrics.gauge("exec.queue_depth", len(tasks))
-        supervisor.run(tasks)
+        self._supervisor.run(
+            tasks, _Batch(self, pending, results, total, batch_span), self.policy, self.fault_plan
+        )
         self.metrics.gauge("exec.queue_depth", 0)
 
     def _record_point(
@@ -793,8 +851,26 @@ class ExecutionEngine:
         self.point_records.append(record)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask), at least 1.
+
+    The CLI's default ``--jobs``: a container or ``taskset`` that limits
+    the process to fewer CPUs than the machine has limits the pool too.
+
+    Returns
+    -------
+    int
+        ``len(os.sched_getaffinity(0))``, or ``os.cpu_count()`` where
+        the platform has no affinity call.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return max(1, os.cpu_count() or 1)
+
+
 def make_engine(
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
     progress: Optional[TextIO] = None,
@@ -806,21 +882,24 @@ def make_engine(
 ) -> Optional[ExecutionEngine]:
     """Build an engine from CLI-style options, or ``None`` for plain runs.
 
-    A configured engine is built when parallelism, caching, telemetry
-    or a resilience bound was requested.  For plain ``repro fig1`` this
-    returns ``None`` and :class:`~repro.experiments.runner.
-    ExperimentRunner` runs its points on its own ``jobs=1`` engine with
-    no cache, journal or progress output — no filesystem side effects.
-    Either way every point is scheduled by the same supervisor.
+    A configured engine is built when an explicit ``--jobs N`` above 1,
+    caching, telemetry or a resilience bound was requested.  For plain
+    ``repro fig1`` (and for an explicit ``--jobs 1`` or ``--no-cache``
+    alone) this returns ``None`` and the caller runs its points on a
+    silent engine with no cache and no journal — no filesystem side
+    effects and no ``exec:`` line — of ``jobs`` workers, or
+    :func:`usable_cpus` when ``jobs`` was not given.  Either way every
+    point is scheduled by the same supervisor.
 
     Parameters
     ----------
-    jobs : int
-        Requested worker count (``--jobs``).
+    jobs : int, optional
+        Requested worker count (``--jobs``); ``None`` when not given,
+        which means :func:`usable_cpus` workers and engages nothing.
     cache_dir : str, optional
         Requested cache directory (``--cache-dir``); when ``None`` but
-        ``jobs > 1``, :data:`~repro.exec.cache.DEFAULT_CACHE_DIR` is
-        used unless ``no_cache`` is set.
+        the engine engages, :data:`~repro.exec.cache.DEFAULT_CACHE_DIR`
+        is used unless ``no_cache`` is set.
     no_cache : bool
         Disable the run cache (``--no-cache``) while keeping ``jobs``.
     progress : TextIO, optional
@@ -828,8 +907,8 @@ def make_engine(
         CLI log's progress stream (``sys.stderr`` unless ``--quiet``).
     telemetry : Telemetry, optional
         Forwarded to :class:`ExecutionEngine`.  An *enabled* telemetry
-        sink engages the engine even for a plain serial run, so every
-        point flows through the instrumented path (``--telemetry``).
+        sink engages the engine even for a plain run, so every point
+        flows through the instrumented path (``--telemetry``).
     timeout : float, optional
         Base per-point wall-clock budget (``--timeout``); engages the
         engine and is scaled per point by the static cost estimate.
@@ -851,22 +930,23 @@ def make_engine(
     Returns
     -------
     ExecutionEngine or None
-        ``None`` when neither ``--jobs``, a cache, telemetry nor a
-        resilience flag was asked for.
+        ``None`` when neither an explicit ``--jobs`` above 1, a cache,
+        telemetry nor a resilience flag was asked for.
 
     Raises
     ------
     ConfigurationError
         If ``jobs`` or ``max_retries`` is out of range.
     """
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {jobs}")
     if max_retries is not None and max_retries < 0:
         raise ConfigurationError(f"--max-retries must be at least 0, got {max_retries}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"--timeout must be positive, got {timeout}")
     resilient = timeout is not None or max_retries is not None or fail_fast or fault_plan is not None
-    if jobs == 1 and cache_dir is None and not telemetry.enabled and not resilient:
+    parallel = jobs is not None and jobs > 1
+    if not parallel and cache_dir is None and not telemetry.enabled and not resilient:
         return None
     from .cache import DEFAULT_CACHE_DIR
 
@@ -875,7 +955,7 @@ def make_engine(
         resolved_dir = None
     elif resolved_dir is None:
         resolved_dir = DEFAULT_CACHE_DIR
-    if jobs == 1 and resolved_dir is None and not telemetry.enabled and not resilient:
+    if not parallel and resolved_dir is None and not telemetry.enabled and not resilient:
         return None
     if progress is None:
         progress = log.progress_stream()
@@ -885,7 +965,7 @@ def make_engine(
         fail_fast=fail_fast,
     )
     return ExecutionEngine(
-        jobs=jobs,
+        jobs=jobs if jobs is not None else usable_cpus(),
         cache_dir=resolved_dir,
         progress=progress,
         telemetry=telemetry,

@@ -5,9 +5,10 @@ A :class:`RunPoint` is one fully-specified, independent simulation —
 extra passes)``, with any fault-injection seed carried inside the
 configuration's :class:`~repro.reliability.faults.ReliabilityConfig`.
 Points are plain frozen dataclasses so they pickle cheaply across
-worker-process boundaries, and :func:`execute_point` is a module-level
-function so the :mod:`concurrent.futures` machinery can address it by
-name.
+worker-process boundaries.  :func:`measure_point` runs one and returns
+its result with a :class:`PointStats` record of where the host time
+went, small enough to ride back over a worker's pipe;
+:func:`execute_point` is the same run without the record.
 
 Every simulation of the experiment layer is a point:
 :class:`~repro.experiments.runner.ExperimentRunner` hands each one to
@@ -19,6 +20,7 @@ process is bit-identical to the same point executed inline (pinned by
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -26,7 +28,7 @@ from ..cpu.model import RunResult
 from ..cpu.system import System, SystemConfig, warm_regions_of
 from ..transforms.base import Transform, apply_all
 from ..transforms.pipeline import OptLevel, optimize
-from ..workloads import build_kernel
+from ..workloads import build_kernel, elim
 from ..workloads.datasets import DatasetSize
 from ..workloads.encode import EncodedTrace, encode_trace
 
@@ -135,8 +137,45 @@ def build_point_program(point: RunPoint):
     return workload_program(*point.workload)
 
 
-def execute_point(point: RunPoint) -> RunResult:
-    """Simulate one point from scratch (worker-process entry point).
+@dataclass(frozen=True)
+class PointStats:
+    """Where one point's host time went, in the process that ran it.
+
+    A worker sends this record back with each result, so the engine's
+    metrics registry accounts for pooled work the same way it accounts
+    for in-process work.
+
+    Attributes
+    ----------
+    encode_s : float
+        Host seconds spent encoding the point's trace (0 when the
+        process's memo already held it).
+    build_s : float
+        Host seconds spent constructing the :class:`System`.
+    warm_s : float
+        Host seconds spent pre-warming the L2 with the program's arrays.
+    replay_s : float
+        Host seconds spent replaying the trace.
+    traces_encoded : int
+        Traces this point encoded (0 or 1).
+    events_eliminated : int
+        Trace events consumed through guaranteed-hit runs
+        (:mod:`repro.workloads.elim`) during the replay.
+    runs_applied : int
+        Guaranteed-hit runs applied during the replay.
+    """
+
+    encode_s: float
+    build_s: float
+    warm_s: float
+    replay_s: float
+    traces_encoded: int
+    events_eliminated: int
+    runs_applied: int
+
+
+def measure_point(point: RunPoint) -> Tuple[RunResult, PointStats]:
+    """Simulate one point from scratch and time its stages.
 
     The L2 is pre-warmed with the program's arrays (PolyBench
     initialisation) and the DL1 starts cold.  The function rebuilds all
@@ -150,9 +189,48 @@ def execute_point(point: RunPoint) -> RunResult:
 
     Returns
     -------
+    tuple of (RunResult, PointStats)
+        The timing result, bit-identical wherever the point executes,
+        and the host-side stats record of this execution.
+    """
+    program = build_point_program(point)
+    encoded = point.workload not in _TRACES
+    t0 = time.perf_counter()
+    trace = workload_trace(*point.workload)
+    t1 = time.perf_counter()
+    system = System(point.config)
+    t2 = time.perf_counter()
+    # ``System.run(trace, warm_regions=...)`` split in two stages: the
+    # warm-up ends by zeroing the statistics, so the replay keeps state.
+    system.reset()
+    system.warm_l2(warm_regions_of(program))
+    t3 = time.perf_counter()
+    before = elim.counters()
+    result = system.run(trace, reset=False)
+    t4 = time.perf_counter()
+    after = elim.counters()
+    return result, PointStats(
+        encode_s=t1 - t0 if encoded else 0.0,
+        build_s=t2 - t1,
+        warm_s=t3 - t2,
+        replay_s=t4 - t3,
+        traces_encoded=int(encoded),
+        events_eliminated=after["events_eliminated"] - before["events_eliminated"],
+        runs_applied=after["runs_applied"] - before["runs_applied"],
+    )
+
+
+def execute_point(point: RunPoint) -> RunResult:
+    """Simulate one point from scratch (:func:`measure_point` without stats).
+
+    Parameters
+    ----------
+    point : RunPoint
+        The simulation point.
+
+    Returns
+    -------
     RunResult
         The timing result, bit-identical wherever the point executes.
     """
-    trace = workload_trace(*point.workload)
-    regions = warm_regions_of(build_point_program(point))
-    return System(point.config).run(trace, warm_regions=regions)
+    return measure_point(point)[0]

@@ -3,14 +3,16 @@
 The execution engine schedules every cache-missing point through this
 module, so one failure model covers serial and parallel sweeps alike:
 
-- :class:`Supervisor` is the only scheduler.  With ``jobs > 1`` it owns
-  a pool of long-lived worker processes, each connected over its own
-  duplex pipe: crashes are detected as pipe EOF (no shared queue can be
-  corrupted by a dying worker), the dead worker is reaped and
-  respawned, and only its in-flight point is re-dispatched.  With
-  ``jobs == 1`` (or a one-task batch) it spawns no workers and runs
-  every point in-process, through the same routine that runs
-  quarantined points of a pool.
+- :class:`Supervisor` is the only scheduler, one per engine.  With
+  ``jobs > 1`` it owns a pool of worker processes that lives from the
+  first batch of two or more points until the engine closes, each
+  worker connected over its own duplex pipe: crashes are detected as
+  pipe EOF (no shared queue can be corrupted by a dying worker), the
+  dead worker is reaped and respawned, and only its in-flight point is
+  re-dispatched.  Dispatch is trace-affine, so each worker encodes the
+  traces it is given and little else.  With ``jobs == 1`` (or a
+  one-task batch) it runs every point in-process, through the same
+  routine that runs quarantined points of a pool.
 - :class:`RetryPolicy` bounds the damage a point can do: failed and
   timed-out attempts retry with exponential backoff up to
   ``max_retries``; points that keep killing workers are quarantined
@@ -48,11 +50,12 @@ import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
 from ..workloads.ir import Loop
-from .point import RunPoint, build_point_program, execute_point
+from . import point as point_module
+from .point import RunPoint, Workload, build_point_program, measure_point
 
 if TYPE_CHECKING:
     from .engine import _Batch
@@ -70,6 +73,9 @@ _MIN_WAIT = 0.01
 
 #: Ceiling on one exponential-backoff sleep in seconds.
 _MAX_BACKOFF = 2.0
+
+#: How often an idle worker checks that its supervising process lives.
+_PARENT_CHECK_S = 1.0
 
 
 # ----------------------------------------------------------------------
@@ -439,38 +445,46 @@ class Task:
         )
 
 
-def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
+def _worker_main(conn: Any) -> None:
     """Worker-process loop: receive points, simulate, send results back.
 
     ``SIGINT`` is ignored so a Ctrl-C to the process group leaves the
     drain-and-checkpoint shutdown under the supervisor's control.  Any
     exception is reported as a structured error message; the worker
-    survives to take the next task.  A message that cannot be sent
-    (supervisor gone) ends the loop.
+    survives to take the next task.  Each result travels with its
+    :class:`~repro.exec.point.PointStats` record.  The loop ends on a
+    ``None`` message, when the supervisor's end of the pipe closes, or
+    when the supervising process is gone (a worker never outlives it).
+
+    Each task message carries the batch's chaos-injection plan
+    (usually ``None``), consulted before the attempt.
 
     Parameters
     ----------
     conn : multiprocessing.connection.Connection
         The worker's end of its duplex pipe.
-    fault_plan : FaultPlan, optional
-        Chaos-injection plan consulted before each attempt.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
     while True:
         try:
+            if not conn.poll(_PARENT_CHECK_S):
+                if os.getppid() != parent:
+                    return
+                continue
             message = conn.recv()
         except (EOFError, OSError):
             return
         if message is None:
             return
-        task_key, point, index, attempt = message
+        task_key, point, index, attempt, fault_plan = message
         started = time.monotonic()
         try:
             if fault_plan is not None:
                 fault_plan.apply(index, attempt)
-            result = execute_point(point)
+            result, stats = measure_point(point)
             wall = time.monotonic() - started
-            reply = ("ok", task_key, os.getpid(), wall, result)
+            reply = ("ok", task_key, os.getpid(), wall, result, stats)
         except Exception as exc:  # structured failure, worker survives
             wall = time.monotonic() - started
             reply = (
@@ -491,25 +505,35 @@ def _worker_main(conn: Any, fault_plan: Optional[FaultPlan]) -> None:
 class _Worker:
     """Supervisor-side record of one worker process."""
 
-    __slots__ = ("process", "conn", "task", "killed", "deadline")
+    __slots__ = ("process", "conn", "task", "killed", "deadline", "held")
 
-    def __init__(self, process: Any, conn: Any) -> None:
+    def __init__(self, process: Any, conn: Any, held: Set[Workload]) -> None:
         self.process = process
         self.conn = conn
         self.task: Optional[Task] = None
         self.killed = False
         self.deadline: Optional[float] = None
+        #: Workloads whose encoded trace this worker's memo holds.
+        self.held = held
 
 
 class Supervisor:
     """The engine's one scheduler: crash-, hang- and error-surviving.
 
-    Runs the :class:`Task` objects of one batch and applies a
-    :class:`RetryPolicy` to every failed attempt.  With ``jobs > 1``
-    tasks go to a pool of long-lived workers, each owning a private
-    duplex pipe (so a dying worker can never corrupt a shared queue);
-    with ``jobs == 1`` no worker is spawned and every task runs
-    in-process through the same routine that runs quarantined points.
+    Runs the :class:`Task` objects of each batch it is given and applies
+    a :class:`RetryPolicy` to every failed attempt.  A batch of two or
+    more tasks with ``jobs > 1`` goes to a pool of long-lived workers,
+    each owning a private duplex pipe (so a dying worker can never
+    corrupt a shared queue).  The pool is spawned at the first such
+    batch and outlives it: later batches reuse the same workers, and
+    their per-process trace memos, until :meth:`close`.  A one-task
+    batch, and every batch with ``jobs == 1``, runs in-process through
+    the same routine that runs quarantined points.
+
+    Dispatch is trace-affine: an idle worker gets a pending point whose
+    trace it already holds, else one whose trace no worker holds, else
+    the oldest pending point — so each trace is encoded about once per
+    command rather than once per worker that touches it.
 
     - a raising attempt retries with backoff up to ``max_retries``,
       then becomes a terminal ``"error"`` failure;
@@ -536,27 +560,16 @@ class Supervisor:
     ----------
     jobs : int
         Maximum concurrent worker processes; ``1`` runs in-process.
-    policy : RetryPolicy
-        Retry/timeout/quarantine bounds.
-    fault_plan : FaultPlan, optional
-        Chaos plan forwarded to workers (and to in-process attempts,
-        error faults only).
-    batch : repro.exec.engine._Batch
-        The engine's observer of this batch.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        policy: RetryPolicy,
-        fault_plan: Optional[FaultPlan],
-        batch: "_Batch",
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = max(1, int(jobs))
-        self.policy = policy
-        self.fault_plan = fault_plan
-        self.batch = batch
-        self.pooled = self.jobs > 1
+        #: The batch being run: its observer, retry policy and chaos
+        #: plan (``None``/defaults between batches).
+        self.batch: Optional["_Batch"] = None
+        self.policy = RetryPolicy()
+        self.fault_plan: Optional[FaultPlan] = None
+        self._pooled = False
         self._ctx = get_context()
         self._workers: List[_Worker] = []
         self._queue: deque = deque()
@@ -568,11 +581,13 @@ class Supervisor:
         """Start one worker process with its private pipe."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, self.fault_plan), daemon=True
+            target=_worker_main, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
-        worker = _Worker(process, parent_conn)
+        # A forked worker starts with a copy of this process's trace memo.
+        held = set(point_module._TRACES) if self._ctx.get_start_method() == "fork" else set()
+        worker = _Worker(process, parent_conn, held)
         self._workers.append(worker)
         return worker
 
@@ -586,8 +601,19 @@ class Supervisor:
             pass
         worker.process.join(timeout=1.0)
 
-    def _shutdown(self, force: bool) -> None:
-        """Stop every worker — gracefully, or by kill on interrupt."""
+    def close(self, force: bool = False) -> None:
+        """Stop every worker — gracefully, or by kill (``force``).
+
+        Idle workers are asked to exit; busy ones (and all of them under
+        ``force``) are killed.  Every worker is joined, so none outlives
+        the call.  Safe to call repeatedly; a later batch spawns a new
+        pool.
+
+        Parameters
+        ----------
+        force : bool
+            Kill every worker instead of asking the idle ones to exit.
+        """
         for worker in list(self._workers):
             if force or worker.task is not None:
                 worker.process.kill()
@@ -609,33 +635,51 @@ class Supervisor:
 
     # -- scheduling ------------------------------------------------------
 
-    def run(self, tasks: List[Task]) -> None:
+    def run(
+        self,
+        tasks: List[Task],
+        batch: "_Batch",
+        policy: RetryPolicy,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> None:
         """Execute every task, surviving crashes, hangs and errors.
 
-        Completed results and terminal failures are delivered to the
-        batch as they happen.  With ``fail_fast`` the run stops at this
-        batch's first terminal failure, leaving later tasks unrun.
+        Completed results and terminal failures are delivered to
+        ``batch`` as they happen.  With ``fail_fast`` the run stops at
+        this batch's first terminal failure, leaving later tasks unrun
+        and killing the workers still busy with them; idle workers stay
+        for the next batch.
 
         Parameters
         ----------
         tasks : list of Task
             Unique cache-missing points of one batch.
+        batch : repro.exec.engine._Batch
+            The engine's observer of this batch.
+        policy : RetryPolicy
+            Retry/timeout/quarantine bounds.
+        fault_plan : FaultPlan, optional
+            Chaos plan sent to workers with each task (and applied to
+            in-process attempts, error faults only).
         """
+        self.batch = batch
+        self.policy = policy
+        self.fault_plan = fault_plan
         self._queue = deque(tasks)
         self._failed = 0
+        self._pooled = self.jobs > 1 and len(tasks) > 1
         outstanding = len(tasks)
         try:
-            if self.pooled:
-                for _ in range(min(self.jobs, len(tasks))):
+            if self._pooled:
+                while len(self._workers) < min(self.jobs, len(tasks)):
                     self._spawn()
             while True:
                 outstanding -= self._dispatch()
                 if outstanding <= self._failed or self._stopped():
                     break
-                if not self.pooled:
+                if not self._pooled:
                     time.sleep(self._wait_timeout(time.monotonic()))
                     continue
-                self._ensure_workers()
                 ready = connection.wait(
                     [w.conn for w in self._workers], self._wait_timeout(time.monotonic())
                 )
@@ -644,10 +688,14 @@ class Supervisor:
                     if worker is not None:
                         outstanding -= self._drain(worker)
                 self._expire(time.monotonic())
-            self._shutdown(force=self._stopped())
+            for worker in [w for w in self._workers if w.task is not None]:
+                worker.process.kill()  # abandoned by a fail-fast stop
+                self._reap(worker)
         except BaseException:
-            self._shutdown(force=True)
+            self.close(force=True)
             raise
+        finally:
+            self.batch = None
 
     def _stopped(self) -> bool:
         """Whether ``fail_fast`` ends this batch (it has a terminal failure)."""
@@ -656,6 +704,17 @@ class Supervisor:
     def _quarantined(self, task: Task) -> bool:
         """Whether ``task`` crashed workers often enough to run in-process."""
         return task.crashes > 0 and task.crashes >= self.policy.quarantine_after
+
+    def _pick(self, worker: _Worker, ready: List[Task]) -> Task:
+        """The ready task ``worker`` should take: trace-affine, then oldest."""
+        for task in ready:
+            if task.point.workload in worker.held:
+                return task
+        held = set().union(*(w.held for w in self._workers))
+        for task in ready:
+            if task.point.workload not in held:
+                return task
+        return ready[0]
 
     def _dispatch(self) -> int:
         """Hand ready tasks to idle workers, or run them in-process.
@@ -666,46 +725,49 @@ class Supervisor:
             Tasks completed in-process.
         """
         done = 0
-        idle = [w for w in self._workers if w.task is None]
-        deferred: List[Task] = []
         queue = self._queue
         while queue and not self._stopped():
-            task = queue[0]
             now = time.monotonic()
-            if task.not_before > now:
+            ready = [task for task in queue if task.not_before <= now]
+            if not ready:
                 break
-            if not self.pooled or self._quarantined(task):
-                queue.popleft()
-                done += self._run_inline(task)
+            inline = next(
+                (t for t in ready if not self._pooled or self._quarantined(t)), None
+            )
+            if inline is not None:
+                queue.remove(inline)
+                done += self._run_inline(inline)
                 continue
-            if not idle:
+            worker = next((w for w in self._workers if w.task is None), None)
+            if worker is None:
                 break
-            queue.popleft()
-            worker = idle.pop()
+            task = self._pick(worker, ready)
+            queue.remove(task)
             task.attempts += 1
             try:
-                worker.conn.send((task.key, task.point, task.index, task.attempts))
+                worker.conn.send(
+                    (task.key, task.point, task.index, task.attempts, self.fault_plan)
+                )
             except OSError:
                 # The worker died before taking the task: roll the
-                # attempt back, re-queue, and let the reaper respawn.
+                # attempt back, re-queue, and replace the worker.
                 task.attempts -= 1
-                deferred.append(task)
+                queue.appendleft(task)
                 worker.killed = False
                 self._on_worker_death(worker)
                 continue
             worker.task = task
+            worker.held.add(task.point.workload)
             worker.deadline = None if task.timeout is None else now + task.timeout
             self.batch.attempt_started(task)
-        for task in deferred:
-            queue.appendleft(task)
         return done
 
     def _run_inline(self, task: Task) -> int:
         """Run one attempt of ``task`` in the supervising process.
 
-        Serves every task of a worker-less run (``jobs == 1``) and the
-        quarantined points of a pool.  No wall-clock budget applies: a
-        hung in-process attempt cannot be killed.
+        Serves every task of a worker-less batch (``jobs == 1`` or one
+        task) and the quarantined points of a pool.  No wall-clock
+        budget applies: a hung in-process attempt cannot be killed.
 
         Returns
         -------
@@ -720,7 +782,7 @@ class Supervisor:
         try:
             if self.fault_plan is not None:
                 self.fault_plan.apply_inline(task.index, task.attempts)
-            result = execute_point(task.point)
+            result, stats = measure_point(task.point)
         except Exception as exc:
             task.last_error = (
                 "error",
@@ -731,7 +793,7 @@ class Supervisor:
             )
             self._retry_or_fail(task, "error")
             return 0
-        self.batch.completed(task, result, os.getpid(), time.monotonic() - started)
+        self.batch.completed(task, result, stats, os.getpid(), time.monotonic() - started)
         return 1
 
     def _wait_timeout(self, now: float) -> float:
@@ -763,8 +825,8 @@ class Supervisor:
         if task is None:
             return 0  # late message from a worker already written off
         if message[0] == "ok":
-            _, _, pid, wall, result = message
-            self.batch.completed(task, result, pid, wall)
+            _, _, pid, wall, result, stats = message
+            self.batch.completed(task, result, stats, pid, wall)
             return 1
         _, _, pid, wall, exc_name, exc_message, tb = message
         task.last_error = ("error", exc_name, exc_message, tb, pid)
@@ -772,11 +834,13 @@ class Supervisor:
         return 0
 
     def _on_worker_death(self, worker: _Worker) -> None:
-        """Reap a dead worker; reschedule its in-flight task."""
+        """Reap and replace a dead worker; reschedule its in-flight task."""
         task = worker.task
         killed = worker.killed
         pid = worker.process.pid or 0
         self._reap(worker)
+        self._spawn()  # the pool keeps its size for this batch and later ones
+        self.batch.worker_restarted()
         if task is None:
             return
         if killed:
@@ -826,11 +890,3 @@ class Supervisor:
             if worker.task is not None and worker.deadline is not None and now > worker.deadline:
                 worker.killed = True
                 worker.process.kill()
-
-    def _ensure_workers(self) -> None:
-        """Respawn workers up to ``jobs`` while work remains."""
-        busy = sum(1 for w in self._workers if w.task is not None)
-        wanted = min(self.jobs, busy + len(self._queue))
-        while len(self._workers) < wanted:
-            self._spawn()
-            self.batch.worker_restarted()

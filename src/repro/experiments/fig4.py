@@ -39,6 +39,11 @@ def run(runner: Optional[ExperimentRunner] = None, level: OptLevel = OptLevel.NO
     read_only = _hybrid_config(nvm_read, sram_write)  # only reads are slow
     write_only = _hybrid_config(sram_read, nvm_write)  # only writes are slow
 
+    runner.prefetch(
+        [("sram", k, level) for k in runner.kernels]
+        + [(read_only, k, level, "vwb-rdonly") for k in runner.kernels]
+        + [(write_only, k, level, "vwb-wronly") for k in runner.kernels]
+    )
     read_shares = []
     write_shares = []
     for kernel in runner.kernels:

@@ -30,9 +30,13 @@ def run(
 ) -> FigureResult:
     """Optimized NVM+VWB penalty per kernel for each VWB capacity."""
     runner = runner or ExperimentRunner()
+    configs = {bits: replace(CONFIGURATIONS["vwb"], vwb_bits=bits) for bits in sizes_bits}
+    runner.prefetch(
+        [("sram", k, level) for k in runner.kernels]
+        + [(configs[bits], k, level, f"vwb{bits}") for bits in sizes_bits for k in runner.kernels]
+    )
     series = {}
-    for bits in sizes_bits:
-        config = replace(CONFIGURATIONS["vwb"], vwb_bits=bits)
+    for bits, config in configs.items():
         series[f"vwb_{bits//1024}kbit"] = [
             runner.penalty(config, kernel, level, cache_key=f"vwb{bits}")
             for kernel in runner.kernels

@@ -6,14 +6,16 @@ performs is a :class:`~repro.exec.point.RunPoint` handed to its
 :class:`~repro.exec.engine.ExecutionEngine`, which builds and encodes
 each kernel trace once per process, warms the L2 with the kernel's
 arrays (the paper's gem5 runs execute PolyBench's initialisation before
-the measured kernel) and simulates; the runner memoises results so the
-figures share baseline runs.
+the measured kernel) and simulates; the runner memoises results by the
+point's content-addressed key, so the figures share baseline runs and
+one point asked for under two labels runs once.
 
 A plain runner's engine is serial with no cache and no journal; the
-CLI's ``--jobs``/``--cache-dir``/``--telemetry`` flags swap in an
-engine that fans independent points out across worker processes and
-replays unchanged points from its content-addressed run cache.  Results
-are bit-identical either way (see :mod:`repro.exec`).
+CLI hands it an engine that fans independent points out across worker
+processes (one per usable CPU by default) and, with
+``--jobs``/``--cache-dir``/``--telemetry``, replays unchanged points
+from its content-addressed run cache.  Results are bit-identical either
+way (see :mod:`repro.exec`).
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class ExperimentRunner:
         self.engine = engine if engine is not None else ExecutionEngine()
         self.check = bool(check)
         self.check_stride = check_stride
-        self._results: Dict[Tuple, RunResult] = {}
+        self._results: Dict[str, RunResult] = {}
 
     def scoped(
         self, kernels: Optional[Sequence[str]] = None, size: Optional[DatasetSize] = None
@@ -256,11 +258,13 @@ class ExperimentRunner:
         level: OptLevel,
         cache_key: Optional[str] = None,
         passes: Sequence[Transform] = (),
-    ) -> Tuple[Tuple, RunPoint]:
+    ) -> Tuple[str, RunPoint]:
         """The result-memo key and :class:`RunPoint` of a run request.
 
-        Named configs memoise by name, ad hoc ones by ``cache_key`` or,
-        without one, by the point's content-addressed key.
+        The memo key is the point's content-addressed key
+        (:func:`~repro.exec.cache.cache_key_of`), so equal points share
+        one result whatever they are called; the configuration name or
+        ``cache_key`` only labels the point for display.
         """
         if isinstance(config, str):
             label = resolve_config_name(config)
@@ -274,9 +278,7 @@ class ExperimentRunner:
             passes=tuple(passes),
             label=f"{kernel}/{label}/{level.name}",
         )
-        if isinstance(config, str) or cache_key is not None:
-            return (label, kernel, level, self.size, point.passes), point
-        return ("exec", cache_key_of(point)), point
+        return cache_key_of(point), point
 
     def run(
         self,
@@ -298,9 +300,9 @@ class ExperimentRunner:
         level : OptLevel
             Optimization level of the code.
         cache_key : str, optional
-            Result-memo key and progress label for ad hoc
-            :class:`SystemConfig` objects (named configs memoise by
-            name; unnamed ones without a key memoise by content).
+            Progress label for ad hoc :class:`SystemConfig` objects
+            (every point memoises by content, so two labels of one
+            point share its result).
         passes : sequence of Transform
             Extra IR passes applied after ``level`` (a program variant,
             see :class:`~repro.exec.point.RunPoint`).
@@ -347,7 +349,7 @@ class ExperimentRunner:
         """
         if self.check:
             return  # unchecked batch results would defeat --check
-        batch: Dict[Tuple, RunPoint] = {}
+        batch: Dict[str, RunPoint] = {}
         for spec in specs:
             key, point = self._point(*spec)
             if key not in self._results:
@@ -442,7 +444,7 @@ class ExperimentRunner:
             Optimization level of the SRAM baseline (defaults to
             ``level``).
         cache_key : str, optional
-            Memo key for ad hoc configs (see :meth:`run`).
+            Label for ad hoc configs (see :meth:`run`).
         passes : sequence of Transform
             Extra IR passes of the tested code (see :meth:`run`); the
             baseline never gets them.
@@ -482,7 +484,7 @@ class ExperimentRunner:
             Optimization level of the SRAM baseline (defaults to
             ``level``).
         cache_key : str, optional
-            Memo key for ad hoc configs (see :meth:`run`).
+            Label for ad hoc configs (see :meth:`run`).
         passes : sequence of Transform
             Extra IR passes of the tested code (see :meth:`penalty`).
 

@@ -120,42 +120,39 @@ def run_sweep(
     base = CONFIGURATIONS[config]
     typed = parse_values(param, list(values), base)
 
-    specs = []
+    # One (swept, baseline) pair per value, built once: the batch and
+    # the penalties below ask for the same configuration objects.
+    # CPU parameters change the *core*, so the SRAM baseline must run on
+    # the same core for the penalty to stay an apples-to-apples
+    # memory-system comparison.
+    pairs = []
     for value in typed:
-        swept = _with_param(base, param, value)
-        specs.append((swept, None, f"sweep-{param}-{value}"))
+        swept = (_with_param(base, param, value), f"sweep-{param}-{value}")
         if param.startswith("cpu."):
-            specs.append(
-                (_with_param(CONFIGURATIONS["sram"], param, value), None, f"sweep-base-{param}-{value}")
+            baseline = (
+                _with_param(CONFIGURATIONS["sram"], param, value),
+                f"sweep-base-{param}-{value}",
             )
         else:
-            specs.append(("sram", None, None))
+            baseline = ("sram", None)
+        pairs.append((value, swept, baseline))
     runner.prefetch(
         [
             (cfg, kernel, level, key)
-            for cfg, _, key in specs
+            for _, swept, baseline in pairs
+            for cfg, key in (swept, baseline)
             for kernel in runner.kernels
         ]
     )
 
     series = {}
-    for value in typed:
-        swept = _with_param(base, param, value)
-        # CPU parameters change the *core*, so the SRAM baseline must run
-        # on the same core for the penalty to stay an apples-to-apples
-        # memory-system comparison.
-        if param.startswith("cpu."):
-            baseline = _with_param(CONFIGURATIONS["sram"], param, value)
-            baseline_key = f"sweep-base-{param}-{value}"
-        else:
-            baseline = "sram"
-            baseline_key = None
-        penalties = []
-        for kernel in runner.kernels:
-            swept_run = runner.run(swept, kernel, level, cache_key=f"sweep-{param}-{value}")
-            base_run = runner.run(baseline, kernel, level, cache_key=baseline_key)
-            penalties.append(swept_run.penalty_vs(base_run))
-        series[f"{param}={value}"] = penalties
+    for value, (swept, swept_key), (baseline, baseline_key) in pairs:
+        series[f"{param}={value}"] = [
+            runner.run(swept, kernel, level, cache_key=swept_key).penalty_vs(
+                runner.run(baseline, kernel, level, cache_key=baseline_key)
+            )
+            for kernel in runner.kernels
+        ]
     avgs = {k: sum(v) / len(v) for k, v in series.items()}
     best = min(avgs, key=avgs.get)
     return FigureResult(

@@ -324,7 +324,8 @@ def render_manifest(doc: Dict[str, Any]) -> str:
     -------
     str
         A few aligned lines: provenance, engine counters, worker
-        utilization.
+        utilization and the executed points' host time by stage
+        (summed over every process that ran them).
     """
     stats = doc["engine"]["stats"]
     points = doc["points"]
@@ -343,6 +344,13 @@ def render_manifest(doc: Dict[str, Any]) -> str:
         f"workers: {len(workers) or 1} process(es), jobs={jobs}, "
         f"utilization {utilization:.0f}% over {elapsed:.1f}s",
     ]
+    if stats.get("executed", 0) and "replay_s" in stats:
+        lines.append(
+            f"host time: encode {stats['encode_s']:.2f}s "
+            f"({stats['traces_encoded']} traces), build {stats['build_s']:.2f}s, "
+            f"warm-up {stats['warm_s']:.2f}s, replay {stats['replay_s']:.2f}s, "
+            f"{stats['events_eliminated']} events eliminated"
+        )
     resilience = [
         (label, stats.get(key, 0))
         for label, key in (

@@ -89,10 +89,9 @@ PK_COMPUTE = 1
 PK_STORE = 2
 PK_BRANCH = 3
 
-#: Process-wide elimination counters, snapshot by the execution engine
-#: into :class:`~repro.exec.engine.ExecStats` (and from there into
-#: telemetry manifests).  Per-process: pooled workers accumulate their
-#: own counts, which the parent engine cannot see.
+#: Process-wide elimination counters.  :func:`~repro.exec.point.
+#: measure_point` snapshots them around each replay into the point's
+#: stats record, which pooled workers send back to the engine.
 _COUNTERS = {"events_eliminated": 0, "runs_applied": 0}
 
 #: Session override installed by :func:`forced` (``None`` = default:

@@ -3,9 +3,11 @@
 The contract pinned here is what lets every memo site hold
 :class:`~repro.workloads.encode.EncodedTrace` instead of event lists:
 
-- ``encode -> decode`` reproduces the exact event sequence (types and
-  every field) for every PolyBench kernel at every optimization level,
-  IR annotations included;
+- ``decode -> encode_events`` reproduces every column of an encoded
+  trace byte for byte, for every PolyBench kernel at every optimization
+  level, IR annotations included (the exact events themselves are
+  pinned against the reference interpreter in
+  ``tests/test_interp_reference.py``);
 - replaying the encoded form produces a ``RunResult`` **equal as a
   whole object** to object replay on every front-end, with and without
   fault injection, and with a probe attached;
@@ -69,23 +71,37 @@ def _assert_same_events(decoded, events):
             assert got.label == want.label
 
 
+#: Every column of an :class:`EncodedTrace` (the whole trace content).
+COLUMNS = (
+    "opcodes", "load_addrs", "load_sizes", "store_addrs", "store_sizes",
+    "pf_addrs", "ops", "taken", "marks", "labels",
+)
+
+
+def _assert_round_trip(encoded):
+    """``encode_events(encoded.decode())`` reproduces every column byte for byte."""
+    again = encode_events(encoded.decode())
+    for column in COLUMNS:
+        got, want = getattr(again, column), getattr(encoded, column)
+        assert type(got) is type(want), column
+        assert getattr(got, "typecode", None) == getattr(want, "typecode", None), column
+        if column == "labels":
+            assert got == want
+        else:
+            assert bytes(got) == bytes(want), column
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("kernel", kernel_names())
     @pytest.mark.parametrize("level", list(OptLevel))
     def test_every_kernel_every_level(self, kernel, level):
-        program = _program(kernel, level)
-        events = materialize_trace(program)
-        encoded = encode_trace(program)
-        _assert_same_events(encoded.decode(), events)
+        _assert_round_trip(encode_trace(_program(kernel, level)))
 
     @pytest.mark.parametrize("kernel", ("gemm", "mvt", "trmm"))
     def test_annotated_traces(self, kernel):
-        config = TraceConfig(annotate_ir=True)
-        program = _program(kernel, OptLevel.FULL)
-        events = materialize_trace(program, config)
-        encoded = encode_trace(program, config)
-        assert any(isinstance(ev, IRMark) for ev in events)
-        _assert_same_events(encoded.decode(), events)
+        encoded = encode_trace(_program(kernel, OptLevel.FULL), TraceConfig(annotate_ir=True))
+        assert len(encoded.labels) > 0 and len(encoded.marks) > 0
+        _assert_round_trip(encoded)
 
     def test_iteration_matches_decode(self):
         program = _program("atax", OptLevel.VECTORIZE)

@@ -8,10 +8,12 @@ dataclass ``==`` compares every field, histogram included).
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
 from repro.cli import main
+from repro.cpu.system import System, warm_regions_of
 from repro.errors import ConfigurationError
 from repro.exec import (
     DEFAULT_CACHE_DIR,
@@ -23,11 +25,15 @@ from repro.exec import (
     key_material_of,
     make_engine,
 )
+from repro.exec import point as point_module
 from repro.exec.cache import decode_result, encode_result
-from repro.exec.point import execute_point
-from repro.experiments import ExperimentRunner
+from repro.exec.engine import usable_cpus
+from repro.exec.point import build_point_program, execute_point, measure_point, workload_trace
+from repro.exec.resilience import Supervisor, Task, _Worker
+from repro.experiments import ExperimentRunner, ablations, fig4, fig7
 from repro.experiments.runner import CONFIGURATIONS
 from repro.reliability.faults import ReliabilityConfig
+from repro.telemetry import TelemetryRecorder
 from repro.transforms.pipeline import OptLevel
 
 
@@ -197,10 +203,97 @@ class TestEngine:
             ExecutionEngine(jobs=0)
 
 
+class TestPointStats:
+    @pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+    @pytest.mark.parametrize("level", [OptLevel.NONE, OptLevel.FULL], ids=lambda l: l.name)
+    def test_staged_run_equals_one_system_run(self, config, level):
+        """Warm-up, then replay without reset, is ``System.run`` with warm regions."""
+        p = point(kernel="mvt", config=config, level=level)
+        expected = System(p.config).run(
+            workload_trace(*p.workload), warm_regions=warm_regions_of(build_point_program(p))
+        )
+        result, stats = measure_point(p)
+        assert result == expected
+        assert stats.build_s > 0 and stats.warm_s > 0 and stats.replay_s > 0
+
+    def test_encode_counted_once_per_process(self, monkeypatch):
+        monkeypatch.setattr(point_module, "_TRACES", {})
+        first = measure_point(point(kernel="atax"))[1]
+        second = measure_point(point(kernel="atax", config="sram"))[1]
+        assert (first.traces_encoded, second.traces_encoded) == (1, 0)
+        assert first.encode_s > 0 and second.encode_s == 0.0
+
+
+class TestPool:
+    """One long-lived, trace-affine pool per engine, reporting stats records."""
+
+    KERNELS = ("gemm", "atax")
+
+    def test_pool_outlives_batches_and_matches_serial(self, tmp_path):
+        first = [point(kernel=k, config="sram") for k in self.KERNELS]
+        second = [point(kernel=k, config="vwb") for k in self.KERNELS]
+        recorder = TelemetryRecorder(str(tmp_path / "tele"))
+        with ExecutionEngine(jobs=2, telemetry=recorder) as engine:
+            pooled = engine.run_points(first) + engine.run_points(second)
+        recorder.close()
+        assert pooled == [execute_point(p) for p in first + second]
+        pids = [r["worker_pid"] for r in engine.point_records]
+        # Both batches ran on the same two workers: a pool per batch
+        # would have brought two new pids to the second.
+        assert len(pids) == 4 and len(set(pids)) <= 2
+        assert not multiprocessing.active_children()
+
+    def test_pooled_stats_reach_the_engine_metrics(self, monkeypatch):
+        monkeypatch.setattr(point_module, "_PROGRAMS", {})
+        monkeypatch.setattr(point_module, "_TRACES", {})  # workers fork without traces
+        points = [point(kernel=k, config=c) for k in self.KERNELS for c in ("sram", "vwb")]
+        with ExecutionEngine(jobs=2) as engine:
+            engine.run_points(points)
+        stats = engine.stats
+        assert stats.executed == 4
+        assert stats.encode_s > 0 and stats.build_s > 0
+        assert stats.warm_s > 0 and stats.replay_s > 0
+        assert 2 <= stats.traces_encoded <= 4
+        assert engine.metrics.histograms["point.replay_s"].count == 4
+        assert not point_module._TRACES  # the encodes happened in the workers
+
+    def test_single_point_and_cached_batches_spawn_no_worker(self, tmp_path):
+        cache_dir = str(tmp_path / "c")
+        with ExecutionEngine(jobs=2, cache_dir=cache_dir) as engine:
+            engine.run_points([point()])
+            assert not engine._supervisor._workers
+        with ExecutionEngine(jobs=2, cache_dir=cache_dir) as warm:
+            warm.run_points([point(), point()])
+            assert warm.stats.hits == 2
+            assert not warm._supervisor._workers
+
+    def test_dispatch_is_trace_affine(self):
+        supervisor = Supervisor(2)
+        tasks = {k: Task(index=i, key=k, point=point(kernel=k))
+                 for i, k in enumerate(("gemm", "atax", "bicg"))}
+        gemm, atax, bicg = (tasks[k].point.workload for k in ("gemm", "atax", "bicg"))
+        mine, other = _Worker(None, None, {atax}), _Worker(None, None, {gemm})
+        supervisor._workers = [mine, other]
+        ready = list(tasks.values())
+        assert supervisor._pick(mine, ready) is tasks["atax"]  # a trace it holds
+        mine.held = set()
+        assert supervisor._pick(mine, ready) is tasks["atax"]  # a trace no one holds
+        other.held = {gemm, atax, bicg}
+        assert supervisor._pick(mine, ready) is tasks["gemm"]  # else the oldest
+
+
 class TestMakeEngine:
     def test_plain_serial_gets_no_engine(self):
         assert make_engine(jobs=1, cache_dir=None) is None
         assert make_engine(jobs=1, cache_dir=None, no_cache=True) is None
+
+    def test_default_jobs_engage_nothing(self):
+        assert make_engine() is None
+        assert make_engine(no_cache=True) is None
+
+    def test_default_jobs_are_the_usable_cpus(self, tmp_path):
+        engine = make_engine(cache_dir=str(tmp_path))
+        assert engine.jobs == usable_cpus() >= 1
 
     def test_jobs_engage_default_cache(self):
         engine = make_engine(jobs=2)
@@ -256,6 +349,21 @@ class TestRunnerIntegration:
         runner, engine = self.engine_runner(tmp_path)
         assert runner.reliability_sweep("gemm", rates, configs=("vwb",), seed=3) == expected
         assert engine.stats.points == 3  # 2 faulty points + 1 sram baseline
+
+    def test_one_point_under_two_labels_runs_once(self):
+        engine = ExecutionEngine()
+        runner = ExperimentRunner(kernels=["gemm"], engine=engine)
+        result = ablations.run_latency_sensitivity(runner)
+        # sram + write/read x {1, 0.5, 0.25}: write_x1 and read_x1 are one point.
+        assert engine.stats.points == 6
+        assert engine.stats.executed == 6
+        assert result.series_for("write_x1") == result.series_for("read_x1")
+
+    @pytest.mark.parametrize("figure", [fig4, fig7], ids=["fig4", "fig7"])
+    def test_figure_grid_is_one_batch(self, figure):
+        engine = ExecutionEngine()
+        figure.run(ExperimentRunner(kernels=["gemm", "atax"], engine=engine))
+        assert engine.metrics.histograms["exec.batch_wall_s"].count == 1
 
     def test_run_memoises_adhoc_configs_by_content(self, tmp_path):
         runner, engine = self.engine_runner(tmp_path, jobs=1)

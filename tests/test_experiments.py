@@ -58,7 +58,7 @@ class TestFigureModules:
     def test_fig1_penalties_in_band(self, runner):
         result = fig1.run(runner)
         for value in result.series_for("dropin"):
-            assert 30.0 < value < 80.0
+            assert 35.0 < value < 75.0  # test_paper_claims' per-kernel band
 
     def test_fig3_vwb_reduces_average(self, runner):
         result = fig3.run(runner)

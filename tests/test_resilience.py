@@ -345,6 +345,18 @@ class TestInterruptAndResume:
         assert 0 < stats["executed"] < stats["points"]
         assert not list(cache.rglob("journal.jsonl"))
 
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="needs pthread_sigmask")
+    def test_interrupt_waits_for_the_checkpoint_record(self):
+        from repro.exec.engine import _interrupts_held
+
+        recorded = False
+        with pytest.raises(KeyboardInterrupt):
+            with _interrupts_held():
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(0.05)
+                recorded = True
+        assert recorded
+
     def test_keyboard_interrupt_maps_to_130_in_process(self, monkeypatch):
         """Satellite: KeyboardInterrupt routes through the error handler."""
         import repro.cli as cli
@@ -354,6 +366,107 @@ class TestInterruptAndResume:
 
         monkeypatch.setattr(cli, "_dispatch", interrupted)
         assert main(["fig1"]) == EXIT_INTERRUPTED
+
+
+def _alive(pid):
+    """Whether ``pid`` is a live process (an exited zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid):
+    """Pids of ``pid``'s child processes, from ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            return [int(c) for c in handle.read().split()]
+    except OSError:
+        return []
+
+
+class TestPoolLifetime:
+    """No worker outlives the command: success, fail-fast, SIGINT, parent death."""
+
+    ARGS = ["fig1", "--kernels", "gemm", "atax", "--no-bars"]
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        from repro.exec.resilience import Supervisor
+
+        processes = []
+        spawn = Supervisor._spawn
+
+        def recording(self):
+            worker = spawn(self)
+            processes.append(worker.process)
+            return worker
+
+        monkeypatch.setattr(Supervisor, "_spawn", recording)
+        return processes
+
+    def test_plain_run_pools_and_leaves_nothing(self, tmp_path, monkeypatch, capsys, spawned):
+        import repro.exec.engine as engine_module
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine_module, "usable_cpus", lambda: 2)
+        assert main(self.ARGS) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "exec:" not in out and "fig1" in out
+        assert len(spawned) == 2  # one pool of the usable CPUs, reused by each batch
+        assert not any(p.is_alive() for p in spawned)
+        assert not list(tmp_path.iterdir())  # no .repro-cache, no .repro-journal
+
+    def test_fail_fast_failure_leaves_no_worker(self, tmp_path, monkeypatch, spawned):
+        import repro.exec as exec_package
+
+        make_engine = exec_package.make_engine
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(
+            exec_package, "make_engine",
+            lambda **kw: make_engine(**kw, fault_plan=FaultPlan(errors={0: 9})),
+        )
+        code = main(self.ARGS + ["--jobs", "2", "--no-cache", "--fail-fast", "--max-retries", "0"])
+        assert code == 3
+        assert spawned and not any(p.is_alive() for p in spawned)
+
+    def _cli(self, cwd):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "penalties", "--no-bars", "--jobs", "2", "--no-cache"],
+            cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+
+    def _workers_once_checkpointed(self, proc, cwd):
+        deadline = time.monotonic() + 120.0
+        while not list((cwd / ".repro-journal").glob("*/*.json")):
+            assert proc.poll() is None, "sweep finished before its first checkpoint"
+            assert time.monotonic() < deadline, "no checkpoint within 120 s"
+            time.sleep(0.02)
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        return workers
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_sigint_leaves_no_worker(self, tmp_path):
+        proc = self._cli(tmp_path)
+        workers = self._workers_once_checkpointed(proc, tmp_path)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=120) == EXIT_INTERRUPTED
+        assert not any(_alive(w) for w in workers)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_workers_exit_when_the_supervisor_dies(self, tmp_path):
+        proc = self._cli(tmp_path)
+        workers = self._workers_once_checkpointed(proc, tmp_path)
+        proc.kill()  # no chance to close the pool
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 30.0
+        while any(_alive(w) for w in workers):
+            assert time.monotonic() < deadline, "a worker outlived its supervisor"
+            time.sleep(0.1)
 
 
 class TestBenchReportSatellite:
