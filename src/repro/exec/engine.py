@@ -44,8 +44,8 @@ or the journal — the engine's central invariant, pinned by
 ``tests/test_resilience.py``.
 
 Per-point progress goes to the ``progress`` stream.  Every counter —
-hits, misses, retries, timeouts, executions, and the stage times and
-elimination counts of each executed point's
+hits, misses, retries, timeouts, executions, and the stage times,
+memory figures and elimination counts of each executed point's
 :class:`~repro.exec.point.PointStats` record, wherever it ran — lives
 once, in the engine's :class:`~repro.telemetry.metrics.MetricsRegistry`;
 :class:`ExecStats` is a read-only view of it.  When a
@@ -99,6 +99,16 @@ def _histogram_total(name: str) -> property:
         return hist.total if hist is not None else 0.0
 
     return property(total)
+
+
+def _histogram_max(name: str) -> property:
+    """An :class:`ExecStats` attribute reading registry histogram ``name``'s maximum."""
+
+    def maximum(self: "ExecStats") -> float:
+        hist = self.metrics.histograms.get(name)
+        return hist.maximum if hist is not None else 0.0
+
+    return property(maximum)
 
 
 class ExecStats:
@@ -162,6 +172,14 @@ class ExecStats:
         Host seconds executed points spent encoding traces, building
         ``System`` objects, warming the L2 and replaying, summed over
         every process [totals of ``point.encode_s`` etc.].
+    peak_rss_mb : float
+        The largest peak resident set size, in MB, that a process
+        reported after executing a point — with a pool, the largest
+        worker's [maximum of ``point.peak_rss_mb``].
+    trace_bytes : int
+        Column bytes of the traces executed points encoded, summed over
+        every process: what the per-process trace memos hold
+        [``point.trace_bytes``].
     elapsed : float
         Wall-clock seconds spent inside :meth:`ExecutionEngine.run_points`
         [total of ``exec.batch_wall_s``].
@@ -199,6 +217,8 @@ class ExecStats:
     build_s = _histogram_total("point.build_s")
     warm_s = _histogram_total("point.warm_s")
     replay_s = _histogram_total("point.replay_s")
+    peak_rss_mb = _histogram_max("point.peak_rss_mb")
+    trace_bytes = _counter("point.trace_bytes")
     elapsed = _histogram_total("exec.batch_wall_s")
     busy = _histogram_total("exec.point_wall_s")
 
@@ -369,10 +389,11 @@ class _Batch:
         metrics = engine.metrics
         metrics.count("exec.executed")
         metrics.observe("exec.point_wall_s", wall_s)
-        for stage in ("encode_s", "build_s", "warm_s", "replay_s"):
+        for stage in ("encode_s", "build_s", "warm_s", "replay_s", "peak_rss_mb"):
             metrics.observe(f"point.{stage}", getattr(stats, stage))
         for name, n in (
             ("point.traces_encoded", stats.traces_encoded),
+            ("point.trace_bytes", stats.trace_bytes if stats.traces_encoded else 0),
             ("elim.events_eliminated", stats.events_eliminated),
             ("elim.runs_applied", stats.runs_applied),
         ):

@@ -7,8 +7,9 @@ configuration's :class:`~repro.reliability.faults.ReliabilityConfig`.
 Points are plain frozen dataclasses so they pickle cheaply across
 worker-process boundaries.  :func:`measure_point` runs one and returns
 its result with a :class:`PointStats` record of where the host time
-went, small enough to ride back over a worker's pipe;
-:func:`execute_point` is the same run without the record.
+went and how much memory the executing process holds, small enough to
+ride back over a worker's pipe; :func:`execute_point` is the same run
+without the record.
 
 Every simulation of the experiment layer is a point:
 :class:`~repro.experiments.runner.ExperimentRunner` hands each one to
@@ -20,6 +21,7 @@ process is bit-identical to the same point executed inline (pinned by
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -163,6 +165,12 @@ class PointStats:
         (:mod:`repro.workloads.elim`) during the replay.
     runs_applied : int
         Guaranteed-hit runs applied during the replay.
+    peak_rss_mb : float
+        Peak resident set size of the executing process so far
+        (``ru_maxrss`` after the point), in MB.
+    trace_bytes : int
+        Column bytes of the replayed trace (:attr:`~repro.workloads
+        .encode.EncodedTrace.nbytes`).
     """
 
     encode_s: float
@@ -172,6 +180,17 @@ class PointStats:
     traces_encoded: int
     events_eliminated: int
     runs_applied: int
+    peak_rss_mb: float
+    trace_bytes: int
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB."""
+    import resource  # first needed after a point, not at CLI start-up
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def measure_point(point: RunPoint) -> Tuple[RunResult, PointStats]:
@@ -217,6 +236,8 @@ def measure_point(point: RunPoint) -> Tuple[RunResult, PointStats]:
         traces_encoded=int(encoded),
         events_eliminated=after["events_eliminated"] - before["events_eliminated"],
         runs_applied=after["runs_applied"] - before["runs_applied"],
+        peak_rss_mb=peak_rss_mb(),
+        trace_bytes=trace.nbytes,
     )
 
 

@@ -324,8 +324,8 @@ def render_manifest(doc: Dict[str, Any]) -> str:
     -------
     str
         A few aligned lines: provenance, engine counters, worker
-        utilization and the executed points' host time by stage
-        (summed over every process that ran them).
+        utilization, the executed points' host time by stage (summed
+        over every process that ran them) and their memory.
     """
     stats = doc["engine"]["stats"]
     points = doc["points"]
@@ -350,6 +350,11 @@ def render_manifest(doc: Dict[str, Any]) -> str:
             f"({stats['traces_encoded']} traces), build {stats['build_s']:.2f}s, "
             f"warm-up {stats['warm_s']:.2f}s, replay {stats['replay_s']:.2f}s, "
             f"{stats['events_eliminated']} events eliminated"
+        )
+    if stats.get("executed", 0) and "peak_rss_mb" in stats:
+        lines.append(
+            f"memory: peak RSS {stats['peak_rss_mb']:.1f} MB (largest executing process), "
+            f"{stats['trace_bytes'] / 1e6:.2f} MB of trace columns encoded"
         )
     resilience = [
         (label, stats.get(key, 0))

@@ -64,6 +64,7 @@ trace replayed through N same-shaped configurations is profiled once.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -157,14 +158,15 @@ class HitRun:
     counts : tuple of int
         ``(n_loads, n_stores)`` over the span, for the bulk hit-counter
         updates.
-    packed : list of int
+    packed : array of int
         One word per load/store/compute/branch event in order (marks
         omitted): low 3 bits the ``PK_*`` kind, high bits the bank
         (loads/stores), ops count (computes) or taken flag (branches).
-        Drives the applier's exact per-event timing loop — kept as a
-        plain list because that loop iterates it on every replay and
-        list iteration reuses the boxed ints (an ``array`` would re-box
-        each word on every pass).
+        Drives the applier's exact per-event timing loop.  Stored one
+        byte per word (``array('B')``), or eight (``array('q')``) when a
+        word exceeds 255 — the trace columns' narrow-then-widen rule.
+        Iterating a byte array boxes nothing: CPython returns its cached
+        ints for values up to 256.
     lru_sets : tuple of tuple
         ``(set_index, (tag, ...))`` per touched set: the run-touched
         cache tags in MRU-first order at run end, for the batch
@@ -188,6 +190,14 @@ class HitRun:
 
     def __repr__(self) -> str:
         return f"HitRun([{self.start}, {self.end}), {len(self.packed)} events)"
+
+
+def _pack(words: List[int]) -> array:
+    """``words`` one byte each, or eight bytes each if one exceeds 255."""
+    try:
+        return array("B", words)
+    except OverflowError:
+        return array("q", words)
 
 
 def _shape_ok(trace: EncodedTrace, shape: Tuple[int, int, int, int]) -> bool:
@@ -247,10 +257,11 @@ def runs_for(trace: EncodedTrace, shape: Tuple[int, int, int, int]) -> Tuple[Hit
     has shown itself.  Annotating on the second pass lets a one-shot
     grid annotate on the second of its two passes through the SRAM DL1
     shape (drop-in and the SRAM baseline) and never amortise it: the
-    serial penalties grid then peaks at 51.7 MB RSS instead of 39.0 MB,
-    with no wall-time gain.  A :func:`forced` ``True`` scope annotates
-    immediately (benchmarks, the audit's eliminated leg and the
-    bit-identity tests all measure the steady state).
+    serial penalties grid then peaks at 37.6 MB RSS instead of 31.4 MB,
+    with no wall-time gain (three alternating pairs on the same guest).
+    A :func:`forced` ``True`` scope annotates immediately (benchmarks,
+    the audit's eliminated leg and the bit-identity tests all measure
+    the steady state).
 
     Parameters
     ----------
@@ -327,7 +338,7 @@ def _annotate(trace: EncodedTrace, shape) -> Tuple[HitRun, ...]:
                     start=run_start,
                     end=end,
                     counts=(n_loads, n_stores),
-                    packed=packed,
+                    packed=_pack(packed),
                     lru_sets=lru_sets,
                     cursors=cursors,
                 )

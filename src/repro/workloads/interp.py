@@ -243,13 +243,32 @@ def _run_innermost(
         last = off + width >= trips
         body, loads, l_sizes, op_counts, stores, s_sizes = tail_plan if last else full_plan
         opcodes += body
+        # A value too wide for a narrow column widens it (out.widen),
+        # which replaces the column: rebind the local.
         if loads:
-            load_addrs.extend([base + step * off for base, step in loads])
-            load_sizes.extend(l_sizes)
-        ops.extend(op_counts)
+            addrs = [base + step * off for base, step in loads]
+            try:
+                load_addrs.extend(addrs)
+            except OverflowError:
+                load_addrs = out.widen("load_addrs", addrs)
+            try:
+                load_sizes.extend(l_sizes)
+            except OverflowError:
+                load_sizes = out.widen("load_sizes", l_sizes)
+        try:
+            ops.extend(op_counts)
+        except OverflowError:
+            ops = out.widen("ops", op_counts)
         if stores:
-            store_addrs.extend([base + step * off for base, step in stores])
-            store_sizes.extend(s_sizes)
+            addrs = [base + step * off for base, step in stores]
+            try:
+                store_addrs.extend(addrs)
+            except OverflowError:
+                store_addrs = out.widen("store_addrs", addrs)
+            try:
+                store_sizes.extend(s_sizes)
+            except OverflowError:
+                store_sizes = out.widen("store_sizes", s_sizes)
         if chunk_index % branch_every == 0 or last:
             opcodes.append(OP_BRANCH)
             taken.append(not last)

@@ -50,7 +50,7 @@ from repro.workloads.encode import (
     encode_events,
     encode_trace,
 )
-from repro.workloads.trace import Load, Store
+from repro.workloads.trace import BRANCH_TAKEN, Compute, Load, Store
 
 #: A core that charges loop-exit branches: gap replay must read each
 #: branch's own taken flag, not the one at the last run's end.
@@ -255,6 +255,11 @@ class TestRealTraces:
             trace, _ = _material(kernel)
             assert eliminable_fraction(trace, (64, 512, 2, 4)) > 0.9, kernel
 
+    def test_kernel_run_words_pack_one_byte_each(self):
+        trace, _ = _material("gemm")
+        runs = annotate_trace(trace, (64, 512, 2, 4))
+        assert runs and all(run.packed.typecode == "B" for run in runs)
+
     def test_annotation_is_memoized_per_shape(self):
         trace, _ = _material("atax")
         a = annotate_trace(trace, (64, 512, 2, 4))
@@ -331,6 +336,23 @@ class TestBitIdentity:
                 system.run(trace, warm_regions=regions)
                 off = system.run(trace, reset=False)
             assert on == off, name
+
+    def test_wide_run_words_stay_identical(self):
+        # A 40-op compute packs to 40 << 3 | PK_COMPUTE = 321, past one
+        # byte, so the runs holding it store their words at 8 bytes.
+        events = []
+        for _ in range(4):
+            for i in range(32):
+                events += [Load(0x1000 + 8 * i, 8), Compute(40 if i == 5 else 2)]
+            events.append(BRANCH_TAKEN)
+        trace = encode_events(events)
+        with forced(True):
+            runs = annotate_trace(trace, (64, 512, 2, 4))
+            assert "q" in {run.packed.typecode for run in runs}
+            on = System(CONFIGS["sram"]()).run(trace)
+        with forced(False):
+            off = System(CONFIGS["sram"]()).run(trace)
+        assert on == off
 
     def test_elimination_actually_fires(self):
         trace, regions = _material("gemm")

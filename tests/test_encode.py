@@ -11,7 +11,11 @@ The contract pinned here is what lets every memo site hold
 - replaying the encoded form produces a ``RunResult`` **equal as a
   whole object** to object replay on every front-end, with and without
   fault injection, and with a probe attached;
-- replay never mutates trace events (several systems share one trace).
+- replay never mutates trace events (several systems share one trace);
+- every operand column of a kernel trace stays at its narrow width
+  (at most 6 bytes per event in all), and a value too wide for one
+  widens just that column to 8 bytes, with exactly the events it was
+  built from.
 """
 
 from __future__ import annotations
@@ -207,6 +211,72 @@ class TestSummaryAndSize:
         assert trace_summary(encoded) == trace_summary(events)
 
     def test_encoded_form_is_compact(self):
-        encoded = encode_trace(build_kernel("gemm"))
-        # Well under the ~56 bytes a single Python object costs per event.
-        assert 0 < encoded.nbytes < 24 * len(encoded)
+        # One opcode byte plus narrow operands: against ~56 bytes for
+        # one Python event object, and 10.6-14.6 with 8-byte operands.
+        for kernel in kernel_names():
+            for level in OptLevel:
+                encoded = encode_trace(_program(kernel, level))
+                assert 0 < encoded.nbytes <= 6 * len(encoded), (kernel, level)
+
+
+#: The operand columns that start narrow and widen to 8 bytes on demand.
+NARROW = {
+    "load_addrs": "i", "load_sizes": "B", "store_addrs": "i", "store_sizes": "B",
+    "pf_addrs": "i", "ops": "H",
+}
+
+
+class TestWidening:
+    """A value a narrow column cannot hold widens that column, exactly."""
+
+    def test_kernel_columns_stay_narrow(self):
+        encoded = encode_trace(_program("gemm", OptLevel.FULL))
+        assert {name: getattr(encoded, name).typecode for name in NARROW} == NARROW
+
+    def test_encode_events_widens_and_round_trips(self):
+        events = [
+            Load(0x1000, 8), Store(0x2000, 4), Compute(3), BRANCH_TAKEN,
+            Load(2**40, 8), Load(0x1008, 300), Compute(70_000), Prefetch(0x3000),
+            Store(0x2008, 4), Load(0x1010, 8), Compute(2), BRANCH_NOT_TAKEN,
+        ]
+        encoded = encode_events(events)
+        widened = {name for name in NARROW if getattr(encoded, name).typecode == "q"}
+        assert widened == {"load_addrs", "load_sizes", "ops"}
+        # No partial values: each column holds exactly its kind's operands.
+        assert list(encoded.load_addrs) == [0x1000, 2**40, 0x1008, 0x1010]
+        assert list(encoded.load_sizes) == [8, 8, 300, 8]
+        assert list(encoded.ops) == [3, 70_000, 2]
+        _assert_same_events(encoded.decode(), events)
+        _assert_round_trip(encoded)
+
+    def test_failed_narrow_extend_leaves_no_partial_values(self):
+        encoded = EncodedTrace()
+        encoded.ops.extend([1, 2])
+        values = [3, 4, 70_000, 5]
+        with pytest.raises(OverflowError):
+            encoded.ops.extend(values)  # appends 3 and 4 before it raises
+        wide = encoded.widen("ops", values)
+        assert wide is encoded.ops and wide.typecode == "q"
+        assert list(wide) == [1, 2, 3, 4, 70_000, 5]
+
+    def test_wide_column_overflow_raises(self):
+        encoded = encode_events([Load(2**40, 8)])
+        with pytest.raises(OverflowError, match="load_addrs"):
+            encoded.widen("load_addrs", [2**70])
+
+    def test_interpreter_widens_above_4_gib(self):
+        default = encode_trace(build_kernel("gemm"))
+        high = encode_trace(build_kernel("gemm"), TraceConfig(layout_base=0x10_0000 + 2**33))
+        assert high.load_addrs.typecode == high.store_addrs.typecode == "q"
+        assert list(high.load_addrs) == [a + 2**33 for a in default.load_addrs]
+        assert list(high.store_addrs) == [a + 2**33 for a in default.store_addrs]
+        assert bytes(high.opcodes) == bytes(default.opcodes)
+        _assert_round_trip(high)
+
+    @pytest.mark.parametrize("config", CONFIG_NAMES)
+    def test_widened_trace_replays_equal(self, config):
+        # The 2**33 shift is a multiple of every set-index, bank and VWB
+        # window span, so only the tags change and every count is equal.
+        default = encode_trace(build_kernel("gemm"))
+        high = encode_trace(build_kernel("gemm"), TraceConfig(layout_base=0x10_0000 + 2**33))
+        assert System(SYSTEMS[config]()).run(high) == System(SYSTEMS[config]()).run(default)

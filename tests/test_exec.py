@@ -35,6 +35,7 @@ from repro.experiments.runner import CONFIGURATIONS
 from repro.reliability.faults import ReliabilityConfig
 from repro.telemetry import TelemetryRecorder
 from repro.transforms.pipeline import OptLevel
+from repro.workloads.encode import encode_trace
 
 
 def point(kernel="gemm", config="vwb", level=OptLevel.NONE, **replacements):
@@ -223,6 +224,12 @@ class TestPointStats:
         assert (first.traces_encoded, second.traces_encoded) == (1, 0)
         assert first.encode_s > 0 and second.encode_s == 0.0
 
+    def test_memory_figures(self):
+        p = point(kernel="bicg")
+        stats = measure_point(p)[1]
+        assert stats.trace_bytes == encode_trace(build_point_program(p)).nbytes
+        assert stats.peak_rss_mb > 0
+
 
 class TestPool:
     """One long-lived, trace-affine pool per engine, reporting stats records."""
@@ -256,6 +263,11 @@ class TestPool:
         assert 2 <= stats.traces_encoded <= 4
         assert engine.metrics.histograms["point.replay_s"].count == 4
         assert not point_module._TRACES  # the encodes happened in the workers
+        # Memory comes from the workers too: the parent encoded nothing.
+        assert stats.peak_rss_mb > 0
+        one_each = sum(encode_trace(build_point_program(point(kernel=k))).nbytes
+                       for k in self.KERNELS)
+        assert one_each <= stats.trace_bytes <= 2 * one_each
 
     def test_single_point_and_cached_batches_spawn_no_worker(self, tmp_path):
         cache_dir = str(tmp_path / "c")

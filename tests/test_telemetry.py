@@ -322,6 +322,8 @@ class TestCLITelemetry:
         out = capsys.readouterr().out
         assert "penalties" in out
         assert "cache.miss" in out
+        assert "host time: encode" in out
+        assert "memory: peak RSS" in out
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         code = main(
